@@ -84,21 +84,6 @@ double best_seconds(int reps, Fn&& fn) {
 
 constexpr int kTimingReps = 3;
 
-std::shared_ptr<const routing::ChannelRouteCache> make_ftree_cache(
-    const FoldedClos& ft, const Network& net,
-    const SinglePathRouting& routing) {
-  return std::make_shared<const routing::ChannelRouteCache>(
-      net, [&](SDPair sd) {
-        LinkId run[FoldedClos::kMaxPathLinks];
-        const auto count = ft.links_into(routing.route(sd), run);
-        std::vector<std::uint32_t> channels;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          channels.push_back(run[i].value);
-        }
-        return channels;
-      });
-}
-
 /// Every FlowResult field — the same contract the golden tests assert
 /// with EXPECT_EQ, restated as one predicate for the bench verdict.
 bool identical(const flow::FlowResult& a, const flow::FlowResult& b) {
@@ -183,7 +168,8 @@ int main(int argc, char** argv) {
     std::uint32_t terminals = 0;
     if (is_ftree) {
       yuan = std::make_unique<YuanNonblockingRouting>(*ftree);
-      cache = make_ftree_cache(*ftree, net, *yuan);
+      cache = std::make_shared<const routing::ChannelRouteCache>(
+          routing::ChannelRouteCache::materialize(net, *yuan));
       terminals = ftree->leaf_count();
     } else {
       const KaryTreeRouter router(net, c.kary_k, c.kary_h);
@@ -456,7 +442,8 @@ int main(int argc, char** argv) {
     const FoldedClos ftree(FtreeParams{4, 16, 16});
     const Network net = build_network(ftree);
     const YuanNonblockingRouting yuan(ftree);
-    const auto cache = make_ftree_cache(ftree, net, yuan);
+    const auto cache = std::make_shared<const routing::ChannelRouteCache>(
+        routing::ChannelRouteCache::materialize(net, yuan));
     const auto terminals = ftree.leaf_count();
     const auto traffic = sim::TrafficPattern::permutation(
         shift_permutation(terminals, 5), terminals);

@@ -65,11 +65,10 @@ int main(int argc, char** argv) {
                 seconds_since(start));
     }
     {
-      nbclos::Xoshiro256 rng(9);
       const auto start = std::chrono::steady_clock::now();
       const auto result = nbclos::verify_adversarial(
           ft, nbclos::as_pattern_router(routing),
-          nbclos::AdversarialOptions{4, 500}, rng);
+          nbclos::AdversarialOptions{4, 500}, 9);
       all_clean = all_clean && result.nonblocking;
       table.add(n, r, ft.leaf_count(), std::string("adversarial"),
                 result.permutations_checked,

@@ -3,16 +3,18 @@
 ///        steps/sec of the adversarial and exhaustive verifiers.
 ///
 /// Three sections, one JSON document on stdout (schema in EXPERIMENTS.md):
-///   * adversarial — worst_case_search with a fixed budget on
-///     ftree(4+16, 8) under d-mod-k, full re-evaluation vs. the
-///     delta-evaluated overload (same seeds, so both walk the identical
-///     trajectory and must agree on the collision count — asserted);
+///   * adversarial — a fixed worst-case budget on ftree(4+16, 8) under
+///     d-mod-k: the serial full re-evaluation reference
+///     (worst_case_search on as_pattern_router) vs. the cache-backed
+///     delta climb (worst_case_search_parallel on a 1-thread pool).  Same
+///     seed, so both walk the identical trajectories and must agree on
+///     the collisions and evaluations — asserted;
 ///   * exhaustive — verify_exhaustive over all leaf_count! permutations of
 ///     a nonblocking instance (no early exit), serial and sharded over
 ///     1/2/8 pool threads;
 ///   * lemma2 — root_capacity_exact / root_capacity_bruteforce timings at
 ///     the caps the branch-and-bound search lifted them to.
-/// The obs_overhead section reruns the delta adversarial search with
+/// The obs_overhead section reruns the delta worst-case search with
 /// metric recording enabled vs paused (obs::set_enabled); the live cost
 /// must stay under 2% and the results field-identical.  Pass --quick for
 /// CI smoke budgets, --threads <T> to cap the scaling sweep.  Results are
@@ -98,16 +100,18 @@ int main(int argc, char** argv) {
 
     nbclos::WorstCaseResult full;
     const double full_secs = best_seconds(kTimingReps, [&] {
-      nbclos::Xoshiro256 rng(7);
       full = nbclos::worst_case_search(ftree, nbclos::as_pattern_router(dmodk),
-                                       adv_options, rng);
+                                       adv_options, 7);
     });
 
+    nbclos::ThreadPool serial_pool(1);
+    const auto search = [&] {
+      return nbclos::worst_case_search_parallel(ftree, dmodk, adv_options, 7,
+                                                serial_pool);
+    };
     nbclos::WorstCaseResult delta;
-    const double delta_secs = best_seconds(kTimingReps, [&] {
-      nbclos::Xoshiro256 rng(7);
-      delta = nbclos::worst_case_search(ftree, dmodk, adv_options, rng);
-    });
+    const double delta_secs =
+        best_seconds(kTimingReps, [&] { delta = search(); });
 
     if (full.collisions != delta.collisions ||
         full.evaluations != delta.evaluations) {
@@ -140,10 +144,6 @@ int main(int argc, char** argv) {
     json.end_object();
 
     // --- instrumentation overhead: metrics live vs paused --------------
-    const auto search = [&] {
-      nbclos::Xoshiro256 rng(7);
-      return nbclos::worst_case_search(ftree, dmodk, adv_options, rng);
-    };
     nbclos::obs::set_enabled(true);
     nbclos::WorstCaseResult on_result;
     const double on_secs =

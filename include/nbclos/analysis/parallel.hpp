@@ -1,12 +1,24 @@
 /// \file parallel.hpp
-/// \brief Thread-parallel experiment drivers.
+/// \brief Thread-parallel experiment drivers — the fast path of every
+///        verifier question.
 ///
 /// Monte-Carlo verification is embarrassingly parallel, but two things
 /// must be engineered for: (1) stateful routers (multipath, adaptive)
 /// cannot be shared across threads, so workers build their own via a
 /// factory; (2) results must not depend on the pool's thread count, so
 /// trials are split into a *fixed* number of chunks with seeds derived
-/// from the master seed, and partials are merged in chunk order.
+/// from the master seed, and partials are merged in chunk order.  The
+/// factory and batched overloads of each random sampler run the same
+/// chunked driver; only the per-trial scorer differs (a LinkLoadMap fed
+/// by the worker's router, or a BatchLoadKernel over one shared
+/// RouteCache).
+///
+/// The adversarial drivers run the cache-backed delta hill-climb
+/// (analysis/delta.hpp) with the restart-seed rule and restart merges of
+/// the serial full-re-evaluation drivers in analysis/verifier.hpp, so
+/// `X_parallel(routing, seed, pool)` equals `X(as_pattern_router(routing),
+/// seed)` field for field at any thread count — a 1-thread pool is the
+/// serial fast path.
 #pragma once
 
 #include <cstdint>
@@ -67,24 +79,20 @@ using PatternRouterFactory =
     const FoldedClos& ftree, const PatternRouterFactory& make_router,
     ThreadPool& pool, std::uint32_t shards = 0);
 
-/// The per-restart seed used by the parallel adversarial drivers;
-/// exposed so tools can reproduce an individual restart.
-[[nodiscard]] std::uint64_t adversarial_restart_seed(std::uint64_t seed,
-                                                     std::uint32_t restart);
-
 /// Parallel delta-evaluated adversarial search: every restart runs with
-/// its own SplitMix64-derived seed and private SwapDeltaState, so the
-/// merged result (lowest failing restart index wins; permutations_checked
-/// sums restarts up to and including it) is thread-count independent.
-/// `routing` is shared read-only across workers and must be thread-safe
-/// under concurrent route() calls — true of all deterministic routings
-/// in this library.
+/// its own adversarial_restart_seed and private SwapDeltaState over one
+/// RouteCache materialized from `routing`, and the merged result (lowest
+/// failing restart index wins; permutations_checked sums restarts up to
+/// and including it) is thread-count independent and equal to
+/// verify_adversarial(ftree, as_pattern_router(routing), options, seed).
 [[nodiscard]] VerifyResult verify_adversarial_parallel(
     const FoldedClos& ftree, const SinglePathRouting& routing,
     const AdversarialOptions& options, std::uint64_t seed, ThreadPool& pool);
 
 /// Parallel worst-case maximization over per-restart seeds; the merged
-/// result takes the max-collision restart (lowest index on ties).
+/// result takes the max-collision restart (lowest index on ties) and
+/// equals worst_case_search(ftree, as_pattern_router(routing), options,
+/// seed).
 [[nodiscard]] WorstCaseResult worst_case_search_parallel(
     const FoldedClos& ftree, const SinglePathRouting& routing,
     const AdversarialOptions& options, std::uint64_t seed, ThreadPool& pool);

@@ -13,11 +13,15 @@
 ///
 /// The router under test is abstracted as a function from a permutation
 /// to its paths, so deterministic, adaptive, and centralized schemes all
-/// fit one interface.  Single-path deterministic routings additionally
-/// get *delta-evaluated* overloads: their hill-climb steps re-route only
-/// the <= 4 SD pairs a swap touches (see analysis/delta.hpp) instead of
-/// the whole pattern, which is what makes large adversarial budgets and
-/// the parallel drivers in analysis/parallel.hpp affordable.
+/// fit one interface.  The drivers here are the full re-evaluation
+/// reference: every hill-climb step re-scores the whole pattern.  The
+/// fast path for single-path deterministic routings lives in
+/// analysis/parallel.hpp — the same climb replaying a RouteCache through
+/// a delta-evaluated SwapDeltaState (analysis/delta.hpp), touching only
+/// the <= 4 SD pairs a swap changes.  Both derive restart seeds with
+/// adversarial_restart_seed and merge restarts by the same rules, so a
+/// _parallel driver on a routing returns exactly what the serial driver
+/// returns on as_pattern_router(routing) with the same seed.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +70,9 @@ struct VerifyResult {
 
 /// Adversarial search: hill-climb from random starts, swapping pairs of
 /// destinations; keeps a mutation when it does not decrease the number
-/// of colliding path pairs.  Restarts are independent — each gets its
-/// own seed — so they can be run in any order or in parallel without
-/// changing the merged result.
+/// of colliding path pairs.  Restarts are independent — restart k climbs
+/// from adversarial_restart_seed(seed, k) — so they can be run in any
+/// order or in parallel without changing the merged result.
 struct AdversarialOptions {
   std::uint32_t restarts = 8;
   std::uint32_t steps_per_restart = 2000;
@@ -82,6 +86,12 @@ struct RestartResult {
   std::uint64_t evaluations = 0;  ///< permutations scored (incl. the start)
 };
 
+/// The seed restart `restart` of a search seeded with `seed` climbs
+/// from — the one rule every adversarial driver uses; exposed so tools
+/// can reproduce an individual restart.
+[[nodiscard]] std::uint64_t adversarial_restart_seed(std::uint64_t seed,
+                                                     std::uint32_t restart);
+
 /// One restart with full re-evaluation per step (any PatternRouter).
 /// `stop_on_positive` ends the climb as soon as collisions > 0 (the
 /// verify use); otherwise the full step budget maximizes collisions.
@@ -91,32 +101,23 @@ struct RestartResult {
                                                 std::uint64_t seed,
                                                 bool stop_on_positive);
 
-/// One delta-evaluated restart (single-path deterministic routings only:
-/// paths must not depend on the rest of the pattern).
-[[nodiscard]] RestartResult adversarial_restart(
-    const FoldedClos& ftree, const SinglePathRouting& routing,
-    std::uint32_t steps, std::uint64_t seed, bool stop_on_positive);
-
 /// One delta-evaluated restart replaying a precomputed RouteCache
-/// (routing/route_cache.hpp) instead of routing per step.  Bit-identical
-/// to the SinglePathRouting overload when the cache was materialized
-/// from that routing; the cache is immutable, so many restarts (and
+/// (routing/route_cache.hpp).  Bit-identical to the PatternRouter
+/// overload on as_pattern_router of the routing the cache was
+/// materialized from; the cache is immutable, so many restarts (and
 /// threads) share one.
 [[nodiscard]] RestartResult adversarial_restart(
     const FoldedClos& ftree, const routing::RouteCache& cache,
     std::uint32_t steps, std::uint64_t seed, bool stop_on_positive);
 
+/// Restarts 0, 1, ... in order until one finds a collision.  The lowest
+/// failing restart wins: its pattern is the counterexample, and
+/// permutations_checked sums the evaluations of every restart up to and
+/// including it.
 [[nodiscard]] VerifyResult verify_adversarial(const FoldedClos& ftree,
                                               const PatternRouter& router,
                                               const AdversarialOptions& options,
-                                              Xoshiro256& rng);
-
-/// Delta-evaluated overload: O(path) per hill-climb step via a
-/// persistent LinkLoadMap instead of re-routing all leafs.
-[[nodiscard]] VerifyResult verify_adversarial(const FoldedClos& ftree,
-                                              const SinglePathRouting& routing,
-                                              const AdversarialOptions& options,
-                                              Xoshiro256& rng);
+                                              std::uint64_t seed);
 
 /// Worst permutation found by a full hill-climb that MAXIMIZES colliding
 /// path pairs (unlike verify_adversarial it never stops early), measuring
@@ -127,13 +128,10 @@ struct WorstCaseResult {
   std::uint64_t evaluations = 0;  ///< permutations scored
 };
 
+/// Every restart runs its full budget; the result takes the
+/// max-collision restart (lowest index on ties) and sums evaluations.
 [[nodiscard]] WorstCaseResult worst_case_search(
     const FoldedClos& ftree, const PatternRouter& router,
-    const AdversarialOptions& options, Xoshiro256& rng);
-
-/// Delta-evaluated overload (see verify_adversarial above).
-[[nodiscard]] WorstCaseResult worst_case_search(
-    const FoldedClos& ftree, const SinglePathRouting& routing,
-    const AdversarialOptions& options, Xoshiro256& rng);
+    const AdversarialOptions& options, std::uint64_t seed);
 
 }  // namespace nbclos

@@ -128,6 +128,12 @@ class ChannelRouteCache {
   /// chaining) and flattens the channel runs.
   ChannelRouteCache(const Network& net, const RouteFn& route);
 
+  /// Snapshot a single-path ftree routing over `net`, the network built
+  /// from its ftree (build_network): ftree link ids are channel ids there.
+  /// The channel-run twin of RouteCache::materialize.
+  [[nodiscard]] static ChannelRouteCache materialize(
+      const Network& net, const SinglePathRouting& routing);
+
   [[nodiscard]] const Network& network() const noexcept { return *net_; }
   [[nodiscard]] std::uint32_t terminal_count() const noexcept {
     return terminals_;

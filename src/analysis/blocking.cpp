@@ -2,34 +2,29 @@
 
 #include <cmath>
 
-#include "nbclos/analysis/contention.hpp"
+#include "drivers.hpp"
 
 namespace nbclos {
 
-BlockingEstimate estimate_blocking(const FoldedClos& ftree,
-                                   const PatternRouter& router,
-                                   std::uint64_t trials, Xoshiro256& rng) {
-  NBCLOS_REQUIRE(trials > 0, "need at least one trial");
+BlockingEstimate detail::BlockingSums::estimate(std::uint64_t trials) const {
   BlockingEstimate est;
   est.trials = trials;
-  double sum_collisions = 0.0;
-  double sum_max_load = 0.0;
-  for (std::uint64_t t = 0; t < trials; ++t) {
-    const auto pattern = random_permutation(ftree.leaf_count(), rng);
-    LinkLoadMap map(ftree);
-    map.add_paths(router(pattern));
-    const auto collisions = map.colliding_pairs();
-    if (collisions > 0) ++est.blocked;
-    sum_collisions += static_cast<double>(collisions);
-    sum_max_load += static_cast<double>(map.max_load());
-  }
+  est.blocked = blocked;
   const auto n = static_cast<double>(trials);
-  est.blocking_probability = static_cast<double>(est.blocked) / n;
+  est.blocking_probability = static_cast<double>(blocked) / n;
   est.mean_colliding_pairs = sum_collisions / n;
   est.mean_max_link_load = sum_max_load / n;
   const double p = est.blocking_probability;
   est.ci95_half_width = 1.96 * std::sqrt(p * (1.0 - p) / n);
   return est;
+}
+
+BlockingEstimate estimate_blocking(const FoldedClos& ftree,
+                                   const PatternRouter& router,
+                                   std::uint64_t trials, Xoshiro256& rng) {
+  NBCLOS_REQUIRE(trials > 0, "need at least one trial");
+  detail::RouterScorer scorer(ftree, router);
+  return detail::sample_blocking(scorer, rng, trials).estimate(trials);
 }
 
 }  // namespace nbclos

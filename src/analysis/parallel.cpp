@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <numeric>
 #include <optional>
+#include <span>
 
+#include "drivers.hpp"
 #include "nbclos/analysis/batch.hpp"
 #include "nbclos/analysis/contention.hpp"
 #include "nbclos/analysis/permutations.hpp"
@@ -42,22 +43,15 @@ std::uint64_t obs_now_ns() {
           .count());
 }
 
-/// Fill up to kMaxBatch lane-major target vectors with random full
-/// permutations, consuming `rng` exactly like one random_permutation
-/// call per lane (iota + shuffle) — the batched drivers stay on the
-/// same rng stream as their one-pattern-at-a-time counterparts.
-std::uint32_t fill_random_lanes(std::uint32_t leafs, std::uint64_t remaining,
-                                Xoshiro256& rng,
-                                std::vector<std::uint32_t>& targets) {
-  const auto lanes = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-      analysis::BatchLoadKernel::kMaxBatch, remaining));
-  targets.resize(std::size_t{lanes} * leafs);
-  for (std::uint32_t lane = 0; lane < lanes; ++lane) {
-    const auto seg = targets.begin() + std::ptrdiff_t{lane} * leafs;
-    std::iota(seg, seg + leafs, 0U);
-    shuffle(seg, seg + leafs, rng);
-  }
-  return lanes;
+/// Make lane `lane` of a lane-major target batch a random full
+/// permutation, consuming `rng` exactly like one random_permutation call
+/// (iota + shuffle) — the batched drivers stay on the same rng streams
+/// as their one-pattern-at-a-time counterparts.
+void shuffle_lane(std::vector<std::uint32_t>& targets, std::uint32_t lane,
+                  std::uint32_t leafs, Xoshiro256& rng) {
+  const auto seg = targets.begin() + std::ptrdiff_t{lane} * leafs;
+  std::iota(seg, seg + leafs, 0U);
+  shuffle(seg, seg + leafs, rng);
 }
 
 /// The lane's target vector as a Permutation (counterexample reporting).
@@ -68,215 +62,163 @@ Permutation lane_pattern(const std::vector<std::uint32_t>& targets,
       std::vector<std::uint32_t>(begin, begin + leafs));
 }
 
+/// Lower `target` to `value` if smaller (first-failure / lowest-rank
+/// flags: every writer races toward the minimum).
+template <typename T>
+void atomic_min(std::atomic<T>& target, T value) {
+  auto current = target.load(std::memory_order_relaxed);
+  while (value < current && !target.compare_exchange_weak(current, value)) {
+  }
+}
+
+/// Per-trial scorer of the batched overloads: up to kMaxBatch patterns
+/// per draw, scored in one BatchLoadKernel pass over a shared RouteCache
+/// (the RouterScorer counterpart — see drivers.hpp).
+class BatchScorer {
+ public:
+  explicit BatchScorer(const routing::RouteCache& cache) : kernel_(cache) {}
+
+  std::uint32_t draw(Xoshiro256& rng, std::uint64_t remaining) {
+    const auto lanes = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+        analysis::BatchLoadKernel::kMaxBatch, remaining));
+    targets_.resize(std::size_t{lanes} * kernel_.leaf_count());
+    for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+      shuffle_lane(targets_, lane, kernel_.leaf_count(), rng);
+    }
+    stats_ = kernel_.score_targets(targets_, lanes);
+    return lanes;
+  }
+  [[nodiscard]] std::uint64_t collisions(std::uint32_t lane) const {
+    return stats_[lane].colliding_pairs;
+  }
+  [[nodiscard]] std::uint32_t max_load(std::uint32_t lane) const {
+    return stats_[lane].max_load;
+  }
+  [[nodiscard]] Permutation pattern(std::uint32_t lane) const {
+    return lane_pattern(targets_, lane, kernel_.leaf_count());
+  }
+
+ private:
+  analysis::BatchLoadKernel kernel_;
+  std::vector<std::uint32_t> targets_;
+  std::span<const analysis::BatchLoadKernel::LaneStats> stats_;
+};
+
+/// The chunked sampler behind every parallel random driver: `trials`
+/// split over `chunks` fixed chunks; chunk c draws from
+/// Xoshiro256(chunk_seed(seed, c)) through a private scorer built by
+/// `make_scorer(chunk_seed(seed, c) ^ 0xC0FFEE)`, and `sample(scorer,
+/// rng, n)` returns its partial.  Partials come back in chunk order — the
+/// fixed merge order — so results never depend on the pool size.
+template <typename Partial, typename MakeScorer, typename Sample>
+std::vector<Partial> sample_chunks(std::uint64_t trials, std::uint64_t seed,
+                                   ThreadPool& pool, std::uint32_t chunks,
+                                   const MakeScorer& make_scorer,
+                                   const Sample& sample) {
+  const auto sizes = chunk_sizes(trials, chunks);
+  std::vector<Partial> partials(chunks);
+  for (std::uint32_t c = 0; c < chunks; ++c) {
+    if (sizes[c] == 0) continue;
+    pool.submit([&, c] {
+      Xoshiro256 rng(chunk_seed(seed, c));
+      auto scorer = make_scorer(chunk_seed(seed, c) ^ 0xC0FFEE);
+      partials[c] = sample(scorer, rng, sizes[c]);
+    });
+  }
+  pool.wait_idle();
+  return partials;
+}
+
+/// Both estimate_blocking_parallel overloads: chunk sums merged in
+/// chunk order, then finalized once.
+template <typename MakeScorer>
+BlockingEstimate estimate_chunked(std::uint64_t trials, std::uint64_t seed,
+                                  ThreadPool& pool, std::uint32_t chunks,
+                                  const MakeScorer& make_scorer) {
+  NBCLOS_REQUIRE(trials > 0, "need at least one trial");
+  obs::ScopedSpan span("verify.blocking_estimate", "verify");
+  span.arg("trials", static_cast<double>(trials));
+  const auto partials = sample_chunks<detail::BlockingSums>(
+      trials, seed, pool, chunks, make_scorer,
+      [](auto& scorer, Xoshiro256& rng, std::uint64_t n) {
+        return detail::sample_blocking(scorer, rng, n);
+      });
+  detail::BlockingSums total;
+  for (const auto& partial : partials) total += partial;
+  return total.estimate(trials);
+}
+
+/// Both verify_random_parallel overloads: the lowest failing chunk's
+/// counterexample wins; every chunk's checked count is summed.
+template <typename MakeScorer>
+VerifyResult verify_random_chunked(std::uint64_t trials, std::uint64_t seed,
+                                   ThreadPool& pool, std::uint32_t chunks,
+                                   const MakeScorer& make_scorer) {
+  obs::ScopedSpan span("verify.random", "verify");
+  span.arg("trials", static_cast<double>(trials));
+  auto partials = sample_chunks<VerifyResult>(
+      trials, seed, pool, chunks, make_scorer,
+      [](auto& scorer, Xoshiro256& rng, std::uint64_t n) {
+        return detail::sample_verify(scorer, rng, n);
+      });
+  VerifyResult result;
+  result.nonblocking = true;
+  for (auto& partial : partials) {
+    result.permutations_checked += partial.permutations_checked;
+    if (result.nonblocking && partial.counterexample) {
+      result.nonblocking = false;
+      result.counterexample = std::move(partial.counterexample);
+      result.counterexample_collisions = partial.counterexample_collisions;
+    }
+  }
+  obs::metrics().counter("verify.perms_evaluated")
+      .add(result.permutations_checked);
+  return result;
+}
+
 }  // namespace
 
 BlockingEstimate estimate_blocking_parallel(
     const FoldedClos& ftree, const PatternRouterFactory& make_router,
     std::uint64_t trials, std::uint64_t seed, ThreadPool& pool,
     std::uint32_t chunks) {
-  NBCLOS_REQUIRE(trials > 0, "need at least one trial");
-  const auto sizes = chunk_sizes(trials, chunks);
-  obs::ScopedSpan span("verify.blocking_estimate", "verify");
-  span.arg("trials", static_cast<double>(trials));
-
-  struct Partial {
-    std::uint64_t blocked = 0;
-    double sum_collisions = 0.0;
-    double sum_max_load = 0.0;
-  };
-  std::vector<Partial> partials(chunks);
-
-  for (std::uint32_t c = 0; c < chunks; ++c) {
-    if (sizes[c] == 0) continue;
-    pool.submit([&, c] {
-      Xoshiro256 rng(chunk_seed(seed, c));
-      const auto router = make_router(chunk_seed(seed, c) ^ 0xC0FFEE);
-      Partial partial;
-      LinkLoadMap map(ftree);
-      for (std::uint64_t t = 0; t < sizes[c]; ++t) {
-        const auto pattern = random_permutation(ftree.leaf_count(), rng);
-        map.clear();
-        map.add_paths(router(pattern));
-        const auto collisions = map.colliding_pairs();
-        if (collisions > 0) ++partial.blocked;
-        partial.sum_collisions += static_cast<double>(collisions);
-        partial.sum_max_load += static_cast<double>(map.max_load());
-      }
-      partials[c] = partial;
-    });
-  }
-  pool.wait_idle();
-
-  BlockingEstimate est;
-  est.trials = trials;
-  double sum_collisions = 0.0;
-  double sum_max_load = 0.0;
-  for (const auto& partial : partials) {  // fixed merge order
-    est.blocked += partial.blocked;
-    sum_collisions += partial.sum_collisions;
-    sum_max_load += partial.sum_max_load;
-  }
-  const auto count = static_cast<double>(trials);
-  est.blocking_probability = static_cast<double>(est.blocked) / count;
-  est.mean_colliding_pairs = sum_collisions / count;
-  est.mean_max_link_load = sum_max_load / count;
-  const double p = est.blocking_probability;
-  est.ci95_half_width = 1.96 * std::sqrt(p * (1.0 - p) / count);
-  return est;
+  return estimate_chunked(trials, seed, pool, chunks,
+                          [&](std::uint64_t router_seed) {
+                            return detail::RouterScorer(
+                                ftree, make_router(router_seed));
+                          });
 }
 
 VerifyResult verify_random_parallel(const FoldedClos& ftree,
                                     const PatternRouterFactory& make_router,
                                     std::uint64_t trials, std::uint64_t seed,
                                     ThreadPool& pool, std::uint32_t chunks) {
-  const auto sizes = chunk_sizes(trials, chunks);
-  obs::ScopedSpan span("verify.random", "verify");
-  span.arg("trials", static_cast<double>(trials));
-  std::vector<VerifyResult> partials(chunks);
-  for (std::uint32_t c = 0; c < chunks; ++c) {
-    if (sizes[c] == 0) {
-      partials[c].nonblocking = true;
-      continue;
-    }
-    pool.submit([&, c] {
-      Xoshiro256 rng(chunk_seed(seed, c));
-      const auto router = make_router(chunk_seed(seed, c) ^ 0xC0FFEE);
-      partials[c] = verify_random(ftree, router, sizes[c], rng);
-    });
-  }
-  pool.wait_idle();
-
-  VerifyResult result;
-  result.nonblocking = true;
-  for (const auto& partial : partials) {  // lowest failing chunk wins
-    result.permutations_checked += partial.permutations_checked;
-    if (result.nonblocking && !partial.nonblocking) {
-      result.nonblocking = false;
-      result.counterexample = partial.counterexample;
-      result.counterexample_collisions = partial.counterexample_collisions;
-    }
-  }
-  obs::metrics().counter("verify.perms_evaluated")
-      .add(result.permutations_checked);
-  return result;
+  return verify_random_chunked(trials, seed, pool, chunks,
+                               [&](std::uint64_t router_seed) {
+                                 return detail::RouterScorer(
+                                     ftree, make_router(router_seed));
+                               });
 }
 
-BlockingEstimate estimate_blocking_parallel(const FoldedClos& ftree,
+BlockingEstimate estimate_blocking_parallel(const FoldedClos& /*ftree*/,
                                             const SinglePathRouting& routing,
                                             std::uint64_t trials,
                                             std::uint64_t seed,
                                             ThreadPool& pool,
                                             std::uint32_t chunks) {
-  NBCLOS_REQUIRE(trials > 0, "need at least one trial");
-  const auto sizes = chunk_sizes(trials, chunks);
-  obs::ScopedSpan span("verify.blocking_estimate", "verify");
-  span.arg("trials", static_cast<double>(trials));
   const auto cache = routing::RouteCache::materialize(routing);
-
-  struct Partial {
-    std::uint64_t blocked = 0;
-    double sum_collisions = 0.0;
-    double sum_max_load = 0.0;
-  };
-  std::vector<Partial> partials(chunks);
-
-  for (std::uint32_t c = 0; c < chunks; ++c) {
-    if (sizes[c] == 0) continue;
-    pool.submit([&, c] {
-      Xoshiro256 rng(chunk_seed(seed, c));
-      analysis::BatchLoadKernel kernel(cache);
-      std::vector<std::uint32_t> targets;
-      Partial partial;
-      std::uint64_t done = 0;
-      while (done < sizes[c]) {
-        const auto lanes =
-            fill_random_lanes(ftree.leaf_count(), sizes[c] - done, rng,
-                              targets);
-        const auto stats = kernel.score_targets(targets, lanes);
-        for (const auto& st : stats) {  // lane order == trial order
-          if (st.colliding_pairs > 0) ++partial.blocked;
-          partial.sum_collisions += static_cast<double>(st.colliding_pairs);
-          partial.sum_max_load += static_cast<double>(st.max_load);
-        }
-        done += lanes;
-      }
-      partials[c] = partial;
-    });
-  }
-  pool.wait_idle();
-
-  BlockingEstimate est;
-  est.trials = trials;
-  double sum_collisions = 0.0;
-  double sum_max_load = 0.0;
-  for (const auto& partial : partials) {  // fixed merge order
-    est.blocked += partial.blocked;
-    sum_collisions += partial.sum_collisions;
-    sum_max_load += partial.sum_max_load;
-  }
-  const auto count = static_cast<double>(trials);
-  est.blocking_probability = static_cast<double>(est.blocked) / count;
-  est.mean_colliding_pairs = sum_collisions / count;
-  est.mean_max_link_load = sum_max_load / count;
-  const double p = est.blocking_probability;
-  est.ci95_half_width = 1.96 * std::sqrt(p * (1.0 - p) / count);
-  return est;
+  return estimate_chunked(trials, seed, pool, chunks,
+                          [&](std::uint64_t) { return BatchScorer(cache); });
 }
 
-VerifyResult verify_random_parallel(const FoldedClos& ftree,
+VerifyResult verify_random_parallel(const FoldedClos& /*ftree*/,
                                     const SinglePathRouting& routing,
                                     std::uint64_t trials, std::uint64_t seed,
                                     ThreadPool& pool, std::uint32_t chunks) {
-  const auto sizes = chunk_sizes(trials, chunks);
-  obs::ScopedSpan span("verify.random", "verify");
-  span.arg("trials", static_cast<double>(trials));
   const auto cache = routing::RouteCache::materialize(routing);
-  std::vector<VerifyResult> partials(chunks);
-  for (std::uint32_t c = 0; c < chunks; ++c) {
-    partials[c].nonblocking = true;
-    if (sizes[c] == 0) continue;
-    pool.submit([&, c] {
-      Xoshiro256 rng(chunk_seed(seed, c));
-      analysis::BatchLoadKernel kernel(cache);
-      std::vector<std::uint32_t> targets;
-      auto& partial = partials[c];
-      std::uint64_t done = 0;
-      while (done < sizes[c] && partial.nonblocking) {
-        const auto lanes =
-            fill_random_lanes(ftree.leaf_count(), sizes[c] - done, rng,
-                              targets);
-        const auto stats = kernel.score_targets(targets, lanes);
-        for (std::uint32_t lane = 0; lane < lanes; ++lane) {
-          ++partial.permutations_checked;
-          if (stats[lane].colliding_pairs > 0) {
-            // Same trial index, pattern, and count as the serial
-            // verify_random stopping at its first blocked permutation.
-            partial.nonblocking = false;
-            partial.counterexample =
-                lane_pattern(targets, lane, ftree.leaf_count());
-            partial.counterexample_collisions = stats[lane].colliding_pairs;
-            break;
-          }
-        }
-        done += lanes;
-      }
-    });
-  }
-  pool.wait_idle();
-
-  VerifyResult result;
-  result.nonblocking = true;
-  for (const auto& partial : partials) {  // lowest failing chunk wins
-    result.permutations_checked += partial.permutations_checked;
-    if (result.nonblocking && !partial.nonblocking) {
-      result.nonblocking = false;
-      result.counterexample = partial.counterexample;
-      result.counterexample_collisions = partial.counterexample_collisions;
-    }
-  }
-  obs::metrics().counter("verify.perms_evaluated")
-      .add(result.permutations_checked);
-  return result;
+  return verify_random_chunked(
+      trials, seed, pool, chunks,
+      [&](std::uint64_t) { return BatchScorer(cache); });
 }
 
 VerifyResult verify_exhaustive_parallel(const FoldedClos& ftree,
@@ -349,10 +291,7 @@ VerifyResult verify_exhaustive_parallel(const FoldedClos& ftree,
             for (const auto& path : paths) map.remove_path(path);
             if (collisions > 0) {
               hits[shard] = ShardHit{rank, pattern, collisions};
-              auto current = best_rank.load(std::memory_order_relaxed);
-              while (rank < current &&
-                     !best_rank.compare_exchange_weak(current, rank)) {
-              }
+              atomic_min(best_rank, rank);
               if (observe) {
                 // First publication wins; losers raced a lower rank in.
                 std::uint64_t expected = 0;
@@ -398,17 +337,6 @@ VerifyResult verify_exhaustive_parallel(const FoldedClos& ftree,
   return result;
 }
 
-std::uint64_t adversarial_restart_seed(std::uint64_t seed,
-                                       std::uint32_t restart) {
-  // Mix the master seed before offsetting by the restart index: a plain
-  // `seed ^ (c + restart)` would let nearby master seeds share restart
-  // seeds.  Distinct restarts always get distinct seeds (SplitMix64's
-  // first output is a bijection of its initial state).
-  SplitMix64 stream(seed ^ 0x5EEDF00DULL);
-  SplitMix64 per_restart(stream.next() + restart);
-  return per_restart.next();
-}
-
 VerifyResult verify_adversarial_parallel(const FoldedClos& ftree,
                                          const SinglePathRouting& routing,
                                          const AdversarialOptions& options,
@@ -424,9 +352,9 @@ VerifyResult verify_adversarial_parallel(const FoldedClos& ftree,
   // scores the shuffled start first and (stop_on_positive) returns it as
   // the counterexample when it already collides, so such restarts are
   // finished after one evaluation — their outcomes come straight from
-  // the kernel's lane statistics and never need a climb or a DeltaState.
-  // The generation below consumes a fresh per-restart rng exactly like
-  // run_restart's reset does, so patterns (and outcomes) are identical.
+  // the kernel's lane statistics and never need a climb.  The generation
+  // below consumes a fresh per-restart rng exactly like run_restart's
+  // reset does, so patterns (and outcomes) are identical.
   std::vector<char> resolved(options.restarts, 0);
   std::atomic<std::uint32_t> first_failing{UINT32_MAX};
   {
@@ -441,9 +369,7 @@ VerifyResult verify_adversarial_parallel(const FoldedClos& ftree,
       targets.resize(std::size_t{lanes} * leafs);
       for (std::uint32_t lane = 0; lane < lanes; ++lane) {
         Xoshiro256 rng(adversarial_restart_seed(seed, base + lane));
-        const auto seg = targets.begin() + std::ptrdiff_t{lane} * leafs;
-        std::iota(seg, seg + leafs, 0U);
-        shuffle(seg, seg + leafs, rng);
+        shuffle_lane(targets, lane, leafs, rng);
       }
       const auto stats = kernel.score_targets(targets, lanes);
       for (std::uint32_t lane = 0; lane < lanes; ++lane) {
@@ -453,10 +379,7 @@ VerifyResult verify_adversarial_parallel(const FoldedClos& ftree,
         outcomes[restart].pattern = lane_pattern(targets, lane, leafs);
         outcomes[restart].evaluations = 1;
         resolved[restart] = 1;
-        auto current = first_failing.load(std::memory_order_relaxed);
-        while (restart < current &&
-               !first_failing.compare_exchange_weak(current, restart)) {
-        }
+        atomic_min(first_failing, restart);
       }
       if (base >= first_failing.load(std::memory_order_relaxed)) break;
     }
@@ -475,36 +398,12 @@ VerifyResult verify_adversarial_parallel(const FoldedClos& ftree,
           ftree, cache, options.steps_per_restart,
           adversarial_restart_seed(seed, restart), /*stop_on_positive=*/true);
       if (outcomes[restart].collisions > 0) {
-        auto current = first_failing.load(std::memory_order_relaxed);
-        while (restart < current &&
-               !first_failing.compare_exchange_weak(current, restart)) {
-        }
+        atomic_min(first_failing, restart);
       }
     });
   }
   pool.wait_idle();
-
-  VerifyResult result;
-  result.nonblocking = true;
-  if constexpr (obs::kEnabled) {
-    // Hill-climb step counts per restart (the climbs themselves never
-    // touch the registry — counts are flushed here, after the join).
-    // Fixed geometry: the registry requires identical bounds per name.
-    auto& steps = obs::metrics().histogram("verify.climb_steps", 1'000'000);
-    for (const auto& outcome : outcomes) {
-      if (outcome.evaluations > 0) steps.record(outcome.evaluations);
-    }
-  }
-  for (auto& outcome : outcomes) {  // merge in restart index order
-    result.permutations_checked += outcome.evaluations;
-    if (outcome.collisions > 0) {
-      result.nonblocking = false;
-      result.counterexample = std::move(outcome.pattern);
-      result.counterexample_collisions = outcome.collisions;
-      break;  // identical to a serial run stopping at this restart
-    }
-  }
-  return result;
+  return detail::merge_first_failing(std::move(outcomes));
 }
 
 WorstCaseResult worst_case_search_parallel(const FoldedClos& ftree,
@@ -524,22 +423,7 @@ WorstCaseResult worst_case_search_parallel(const FoldedClos& ftree,
     });
   }
   pool.wait_idle();
-
-  WorstCaseResult result;
-  if constexpr (obs::kEnabled) {
-    auto& steps = obs::metrics().histogram("verify.climb_steps", 1'000'000);
-    for (const auto& outcome : outcomes) {
-      if (outcome.evaluations > 0) steps.record(outcome.evaluations);
-    }
-  }
-  for (auto& outcome : outcomes) {  // max, lowest index on ties
-    result.evaluations += outcome.evaluations;
-    if (outcome.collisions > result.collisions || result.permutation.empty()) {
-      result.collisions = outcome.collisions;
-      result.permutation = std::move(outcome.pattern);
-    }
-  }
-  return result;
+  return detail::merge_worst_case(std::move(outcomes));
 }
 
 }  // namespace nbclos

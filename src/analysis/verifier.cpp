@@ -1,8 +1,9 @@
 #include "nbclos/analysis/verifier.hpp"
 
-#include <algorithm>
 #include <numeric>
+#include <utility>
 
+#include "drivers.hpp"
 #include "nbclos/analysis/contention.hpp"
 #include "nbclos/analysis/delta.hpp"
 #include "nbclos/obs/metrics.hpp"
@@ -71,26 +72,6 @@ class FullSwapState {
   bool dirty_ = true;
 };
 
-/// Thin adapter giving SwapDeltaState the revert_swap the core expects
-/// (a delta swap is its own inverse).
-class DeltaState {
- public:
-  DeltaState(const FoldedClos& ftree, const SinglePathRouting& routing)
-      : state_(ftree, routing) {}
-  DeltaState(const FoldedClos& ftree, const routing::RouteCache& cache)
-      : state_(ftree, cache) {}
-  void reset(const std::vector<std::uint32_t>& target) { state_.reset(target); }
-  void apply_swap(std::uint32_t i, std::uint32_t j) { state_.apply_swap(i, j); }
-  void revert_swap(std::uint32_t i, std::uint32_t j) {
-    state_.apply_swap(i, j);
-  }
-  [[nodiscard]] std::uint64_t collisions() { return state_.collisions(); }
-  [[nodiscard]] Permutation pattern() const { return state_.pattern(); }
-
- private:
-  SwapDeltaState state_;
-};
-
 /// The hill climb shared by both evaluation strategies: accept a swap
 /// when it does not decrease the colliding-pair count, revert otherwise.
 template <typename State>
@@ -121,56 +102,6 @@ RestartResult run_restart(State& state, std::uint32_t leafs,
     }
   }
   result.pattern = state.pattern();
-  return result;
-}
-
-/// Serial restart drivers: per-restart seeds drawn from the caller's rng
-/// up front, so restarts stay independent (and mergeable in index order)
-/// exactly like the parallel drivers in analysis/parallel.cpp.
-template <typename RoutingLike>
-VerifyResult verify_adversarial_impl(const FoldedClos& ftree,
-                                     const RoutingLike& routing,
-                                     const AdversarialOptions& options,
-                                     Xoshiro256& rng) {
-  VerifyResult result;
-  result.nonblocking = true;
-  obs::ScopedSpan span("verify.adversarial", "verify");
-  span.arg("restarts", static_cast<double>(options.restarts));
-  auto& climb_steps = obs::metrics().histogram("verify.climb_steps",
-                                               1'000'000);
-  for (std::uint32_t restart = 0; restart < options.restarts; ++restart) {
-    const auto outcome = adversarial_restart(
-        ftree, routing, options.steps_per_restart, rng(),
-        /*stop_on_positive=*/true);
-    if (outcome.evaluations > 0) climb_steps.record(outcome.evaluations);
-    result.permutations_checked += outcome.evaluations;
-    if (outcome.collisions > 0) {
-      result.nonblocking = false;
-      result.counterexample = outcome.pattern;
-      result.counterexample_collisions = outcome.collisions;
-      return result;
-    }
-  }
-  return result;
-}
-
-template <typename RoutingLike>
-WorstCaseResult worst_case_search_impl(const FoldedClos& ftree,
-                                       const RoutingLike& routing,
-                                       const AdversarialOptions& options,
-                                       Xoshiro256& rng) {
-  WorstCaseResult result;
-  for (std::uint32_t restart = 0; restart < options.restarts; ++restart) {
-    auto outcome = adversarial_restart(ftree, routing,
-                                       options.steps_per_restart, rng(),
-                                       /*stop_on_positive=*/false);
-    result.evaluations += outcome.evaluations;
-    if (outcome.collisions > result.collisions ||
-        result.permutation.empty()) {
-      result.collisions = outcome.collisions;
-      result.permutation = std::move(outcome.pattern);
-    }
-  }
   return result;
 }
 
@@ -205,23 +136,19 @@ VerifyResult verify_exhaustive(const FoldedClos& ftree,
 VerifyResult verify_random(const FoldedClos& ftree,
                            const PatternRouter& router, std::uint64_t trials,
                            Xoshiro256& rng) {
-  VerifyResult result;
-  result.nonblocking = true;
-  LinkLoadMap map(ftree);
-  for (std::uint64_t t = 0; t < trials; ++t) {
-    const auto pattern = random_permutation(ftree.leaf_count(), rng);
-    ++result.permutations_checked;
-    map.clear();
-    map.add_paths(router(pattern));
-    const auto collisions = map.colliding_pairs();
-    if (collisions > 0) {
-      result.nonblocking = false;
-      result.counterexample = pattern;
-      result.counterexample_collisions = collisions;
-      return result;
-    }
-  }
-  return result;
+  detail::RouterScorer scorer(ftree, router);
+  return detail::sample_verify(scorer, rng, trials);
+}
+
+std::uint64_t adversarial_restart_seed(std::uint64_t seed,
+                                       std::uint32_t restart) {
+  // Mix the master seed before offsetting by the restart index: a plain
+  // `seed ^ (c + restart)` would let nearby master seeds share restart
+  // seeds.  Distinct restarts always get distinct seeds (SplitMix64's
+  // first output is a bijection of its initial state).
+  SplitMix64 stream(seed ^ 0x5EEDF00DULL);
+  SplitMix64 per_restart(stream.next() + restart);
+  return per_restart.next();
 }
 
 RestartResult adversarial_restart(const FoldedClos& ftree,
@@ -233,51 +160,91 @@ RestartResult adversarial_restart(const FoldedClos& ftree,
 }
 
 RestartResult adversarial_restart(const FoldedClos& ftree,
-                                  const SinglePathRouting& routing,
-                                  std::uint32_t steps, std::uint64_t seed,
-                                  bool stop_on_positive) {
-  DeltaState state(ftree, routing);
-  return run_restart(state, ftree.leaf_count(), steps, seed, stop_on_positive);
-}
-
-RestartResult adversarial_restart(const FoldedClos& ftree,
                                   const routing::RouteCache& cache,
                                   std::uint32_t steps, std::uint64_t seed,
                                   bool stop_on_positive) {
-  DeltaState state(ftree, cache);
+  SwapDeltaState state(ftree, cache);
   return run_restart(state, ftree.leaf_count(), steps, seed, stop_on_positive);
 }
+
+namespace detail {
+
+namespace {
+
+/// Hill-climb step counts per restart.  The climbs never touch the
+/// registry; counts are flushed here, after any join.  Fixed geometry:
+/// the registry requires identical bounds per name.
+void record_climb_steps(const std::vector<RestartResult>& outcomes) {
+  if constexpr (obs::kEnabled) {
+    auto& steps = obs::metrics().histogram("verify.climb_steps", 1'000'000);
+    for (const auto& outcome : outcomes) {
+      if (outcome.evaluations > 0) steps.record(outcome.evaluations);
+    }
+  }
+}
+
+}  // namespace
+
+VerifyResult merge_first_failing(std::vector<RestartResult> outcomes) {
+  record_climb_steps(outcomes);
+  VerifyResult result;
+  result.nonblocking = true;
+  for (auto& outcome : outcomes) {
+    result.permutations_checked += outcome.evaluations;
+    if (outcome.collisions > 0) {
+      result.nonblocking = false;
+      result.counterexample = std::move(outcome.pattern);
+      result.counterexample_collisions = outcome.collisions;
+      break;
+    }
+  }
+  return result;
+}
+
+WorstCaseResult merge_worst_case(std::vector<RestartResult> outcomes) {
+  record_climb_steps(outcomes);
+  WorstCaseResult result;
+  for (auto& outcome : outcomes) {
+    result.evaluations += outcome.evaluations;
+    if (outcome.collisions > result.collisions || result.permutation.empty()) {
+      result.collisions = outcome.collisions;
+      result.permutation = std::move(outcome.pattern);
+    }
+  }
+  return result;
+}
+
+}  // namespace detail
 
 VerifyResult verify_adversarial(const FoldedClos& ftree,
                                 const PatternRouter& router,
                                 const AdversarialOptions& options,
-                                Xoshiro256& rng) {
-  return verify_adversarial_impl(ftree, router, options, rng);
-}
-
-VerifyResult verify_adversarial(const FoldedClos& ftree,
-                                const SinglePathRouting& routing,
-                                const AdversarialOptions& options,
-                                Xoshiro256& rng) {
-  // One cache materialization amortized across every restart: the climbs
-  // replay flat link runs instead of re-routing <= 4 pairs per step.
-  const auto cache = routing::RouteCache::materialize(routing);
-  return verify_adversarial_impl(ftree, cache, options, rng);
+                                std::uint64_t seed) {
+  obs::ScopedSpan span("verify.adversarial", "verify");
+  span.arg("restarts", static_cast<double>(options.restarts));
+  std::vector<RestartResult> outcomes;
+  for (std::uint32_t restart = 0; restart < options.restarts; ++restart) {
+    outcomes.push_back(adversarial_restart(
+        ftree, router, options.steps_per_restart,
+        adversarial_restart_seed(seed, restart), /*stop_on_positive=*/true));
+    if (outcomes.back().collisions > 0) break;
+  }
+  return detail::merge_first_failing(std::move(outcomes));
 }
 
 WorstCaseResult worst_case_search(const FoldedClos& ftree,
                                   const PatternRouter& router,
                                   const AdversarialOptions& options,
-                                  Xoshiro256& rng) {
-  return worst_case_search_impl(ftree, router, options, rng);
-}
-
-WorstCaseResult worst_case_search(const FoldedClos& ftree,
-                                  const SinglePathRouting& routing,
-                                  const AdversarialOptions& options,
-                                  Xoshiro256& rng) {
-  const auto cache = routing::RouteCache::materialize(routing);
-  return worst_case_search_impl(ftree, cache, options, rng);
+                                  std::uint64_t seed) {
+  obs::ScopedSpan span("verify.worst_case", "verify");
+  span.arg("restarts", static_cast<double>(options.restarts));
+  std::vector<RestartResult> outcomes;
+  for (std::uint32_t restart = 0; restart < options.restarts; ++restart) {
+    outcomes.push_back(adversarial_restart(
+        ftree, router, options.steps_per_restart,
+        adversarial_restart_seed(seed, restart), /*stop_on_positive=*/false));
+  }
+  return detail::merge_worst_case(std::move(outcomes));
 }
 
 }  // namespace nbclos

@@ -110,6 +110,20 @@ ChannelRouteCache::ChannelRouteCache(const Network& net, const RouteFn& route)
   registry.gauge("route_cache.bytes").add(static_cast<std::int64_t>(bytes()));
 }
 
+ChannelRouteCache ChannelRouteCache::materialize(
+    const Network& net, const SinglePathRouting& routing) {
+  const FoldedClos& ftree = routing.ftree();
+  NBCLOS_REQUIRE(net.channel_count() == ftree.link_count(),
+                 "network channel count does not match the ftree's links");
+  return ChannelRouteCache(net, [&](SDPair sd) {
+    LinkId run[FoldedClos::kMaxPathLinks];
+    const auto count = ftree.links_into(routing.route(sd), run);
+    std::vector<std::uint32_t> channels(count);
+    for (std::uint32_t i = 0; i < count; ++i) channels[i] = run[i].value;
+    return channels;
+  });
+}
+
 std::uint32_t ChannelRouteCache::next_channel_from(std::uint32_t vertex,
                                                    std::uint32_t src,
                                                    std::uint32_t dst) const {

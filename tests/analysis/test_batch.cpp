@@ -123,6 +123,10 @@ void expect_same_restart(const RestartResult& a, const RestartResult& b) {
 }
 
 TEST(CachedRestart, MatchesFullAndDeltaEvaluationTrajectories) {
+  // Same seed -> same start pattern and same swap proposals; since the
+  // cached delta climb and full re-evaluation must agree on every
+  // collision count, the entire trajectory (accepts, reverts, final
+  // pattern) is identical.
   const FoldedClos ft(FtreeParams{3, 4, 5});
   const DModKRouting dmodk(ft);
   const auto cache = routing::RouteCache::materialize(dmodk);
@@ -131,11 +135,8 @@ TEST(CachedRestart, MatchesFullAndDeltaEvaluationTrajectories) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       const auto full =
           adversarial_restart(ft, full_router, 300, seed, stop_on_positive);
-      const auto delta =
-          adversarial_restart(ft, dmodk, 300, seed, stop_on_positive);
       const auto cached =
           adversarial_restart(ft, cache, 300, seed, stop_on_positive);
-      expect_same_restart(full, delta);
       expect_same_restart(full, cached);
     }
   }
@@ -147,9 +148,10 @@ TEST(CachedRestart, NonblockingRoutingNeverFindsCollisions) {
   const auto cache = routing::RouteCache::materialize(yuan);
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const auto cached = adversarial_restart(ft, cache, 200, seed, true);
-    const auto live = adversarial_restart(ft, yuan, 200, seed, true);
+    const auto full =
+        adversarial_restart(ft, as_pattern_router(yuan), 200, seed, true);
     EXPECT_EQ(cached.collisions, 0U);
-    expect_same_restart(cached, live);
+    expect_same_restart(cached, full);
   }
 }
 
@@ -225,9 +227,9 @@ TEST(BatchedParallel, AdversarialThreadCountInvariant) {
     expect_same_verify(
         verify_adversarial_parallel(ft, dmodk, options, 17, pool), expect);
   }
-  // And the serial delta engine agrees on the verdict.
-  Xoshiro256 rng(17);
-  EXPECT_FALSE(verify_adversarial(ft, dmodk, options, rng).nonblocking);
+  // And the serial full re-evaluation reference agrees field for field.
+  expect_same_verify(
+      verify_adversarial(ft, as_pattern_router(dmodk), options, 17), expect);
 }
 
 TEST(BatchedParallel, WorstCaseThreadCountInvariant) {

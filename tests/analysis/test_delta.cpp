@@ -1,6 +1,8 @@
 /// Property tests for the delta-evaluation invariant (analysis/delta.hpp):
-/// after any sequence of target swaps, SwapDeltaState::collisions() must
-/// equal a from-scratch evaluation of the current pattern.
+/// after any sequence of target swaps, the cache-backed
+/// SwapDeltaState::collisions() must equal a from-scratch evaluation of
+/// the current pattern through live routing (route_all), so the oracle
+/// also checks the materialized RouteCache against the routes.
 #include "nbclos/analysis/delta.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +10,7 @@
 #include <numeric>
 
 #include "nbclos/routing/baselines.hpp"
+#include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 
 namespace nbclos {
@@ -36,7 +39,8 @@ void check_delta_matches_full(const FoldedClos& ft,
                               std::uint64_t seed, std::uint32_t swaps) {
   Xoshiro256 rng(seed);
   const std::uint32_t leafs = ft.leaf_count();
-  SwapDeltaState state(ft, routing);
+  const auto cache = routing::RouteCache::materialize(routing);
+  SwapDeltaState state(ft, cache);
   state.reset(random_targets(leafs, rng));
   ASSERT_EQ(state.collisions(), full_collisions(ft, routing, state.targets()));
   for (std::uint32_t step = 0; step < swaps; ++step) {
@@ -87,7 +91,8 @@ TEST(SwapDelta, SwapIsSelfInverse) {
   const FoldedClos ft(FtreeParams{2, 2, 4});
   const DModKRouting routing(ft);
   Xoshiro256 rng(7);
-  SwapDeltaState state(ft, routing);
+  const auto cache = routing::RouteCache::materialize(routing);
+  SwapDeltaState state(ft, cache);
   state.reset(random_targets(ft.leaf_count(), rng));
   const auto targets_before = state.targets();
   const auto collisions_before = state.collisions();
@@ -100,7 +105,8 @@ TEST(SwapDelta, SwapIsSelfInverse) {
 TEST(SwapDelta, PatternDropsFixedPoints) {
   const FoldedClos ft(FtreeParams{2, 4, 4});
   const DModKRouting routing(ft);
-  SwapDeltaState state(ft, routing);
+  const auto cache = routing::RouteCache::materialize(routing);
+  SwapDeltaState state(ft, cache);
   std::vector<std::uint32_t> identity(ft.leaf_count());
   std::iota(identity.begin(), identity.end(), 0U);
   state.reset(identity);
@@ -113,7 +119,8 @@ TEST(SwapDelta, PatternDropsFixedPoints) {
 TEST(SwapDelta, RejectsBadSwaps) {
   const FoldedClos ft(FtreeParams{2, 2, 3});
   const DModKRouting routing(ft);
-  SwapDeltaState state(ft, routing);
+  const auto cache = routing::RouteCache::materialize(routing);
+  SwapDeltaState state(ft, cache);
   std::vector<std::uint32_t> identity(ft.leaf_count());
   std::iota(identity.begin(), identity.end(), 0U);
   state.reset(identity);

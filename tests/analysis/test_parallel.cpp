@@ -220,6 +220,96 @@ TEST(ParallelWorstCase, ThreadCountIndependentAndVerified) {
   EXPECT_EQ(map.colliding_pairs(), a.collisions);
 }
 
+// --- fast path == reference ---------------------------------------------
+// The cache-backed delta drivers on a routing must return exactly what
+// the serial full re-evaluation drivers return on as_pattern_router of
+// it with the same seed — every field, counterexample included — at any
+// thread count.
+
+constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
+
+void expect_same_verify(const VerifyResult& got, const VerifyResult& want,
+                        std::size_t threads) {
+  EXPECT_EQ(got.nonblocking, want.nonblocking) << threads << " threads";
+  EXPECT_EQ(got.permutations_checked, want.permutations_checked)
+      << threads << " threads";
+  EXPECT_EQ(got.counterexample, want.counterexample) << threads << " threads";
+  EXPECT_EQ(got.counterexample_collisions, want.counterexample_collisions)
+      << threads << " threads";
+}
+
+void expect_same_worst(const WorstCaseResult& got, const WorstCaseResult& want,
+                       std::size_t threads) {
+  EXPECT_EQ(got.collisions, want.collisions) << threads << " threads";
+  EXPECT_EQ(got.evaluations, want.evaluations) << threads << " threads";
+  EXPECT_EQ(got.permutation, want.permutation) << threads << " threads";
+}
+
+TEST(ParallelAdversarial, MatchesSerialReferenceOnBlockingDModK) {
+  // ftree(2+4, 4): blocking is rare, so restarts must climb to it;
+  // ftree(3+2, 6): most starts already collide (the batch pre-score).
+  for (const FtreeParams params : {FtreeParams{2, 4, 4}, FtreeParams{3, 2, 6}}) {
+    const FoldedClos ft(params);
+    const DModKRouting routing(ft);
+    const AdversarialOptions options{10, 1000};
+    const auto reference =
+        verify_adversarial(ft, as_pattern_router(routing), options, 12);
+    ASSERT_FALSE(reference.nonblocking);
+    ASSERT_TRUE(reference.counterexample.has_value());
+    for (const auto threads : kThreadCounts) {
+      ThreadPool pool(threads);
+      expect_same_verify(
+          verify_adversarial_parallel(ft, routing, options, 12, pool),
+          reference, threads);
+    }
+  }
+}
+
+TEST(ParallelAdversarial, MatchesSerialReferenceOnTheorem3) {
+  const FoldedClos ft(FtreeParams{2, 4, 5});
+  const YuanNonblockingRouting routing(ft);
+  const AdversarialOptions options{3, 200};
+  const auto reference =
+      verify_adversarial(ft, as_pattern_router(routing), options, 13);
+  ASSERT_TRUE(reference.nonblocking);
+  for (const auto threads : kThreadCounts) {
+    ThreadPool pool(threads);
+    expect_same_verify(
+        verify_adversarial_parallel(ft, routing, options, 13, pool),
+        reference, threads);
+  }
+}
+
+TEST(ParallelWorstCase, MatchesSerialReferenceOnBlockingDModK) {
+  const FoldedClos ft(FtreeParams{3, 2, 6});
+  const DModKRouting routing(ft);
+  const AdversarialOptions options{4, 400};
+  const auto reference =
+      worst_case_search(ft, as_pattern_router(routing), options, 33);
+  ASSERT_GT(reference.collisions, 0U);
+  for (const auto threads : kThreadCounts) {
+    ThreadPool pool(threads);
+    expect_same_worst(
+        worst_case_search_parallel(ft, routing, options, 33, pool), reference,
+        threads);
+  }
+}
+
+TEST(ParallelWorstCase, MatchesSerialReferenceOnTheorem3) {
+  const FoldedClos ft(FtreeParams{2, 4, 5});
+  const YuanNonblockingRouting routing(ft);
+  const AdversarialOptions options{3, 300};
+  const auto reference =
+      worst_case_search(ft, as_pattern_router(routing), options, 34);
+  ASSERT_EQ(reference.collisions, 0U);
+  for (const auto threads : kThreadCounts) {
+    ThreadPool pool(threads);
+    expect_same_worst(
+        worst_case_search_parallel(ft, routing, options, 34, pool), reference,
+        threads);
+  }
+}
+
 TEST(ParallelAdversarial, RestartSeedsAreDistinct) {
   // SplitMix64 scrambling: consecutive restart indices and nearby master
   // seeds must not collide.

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "nbclos/analysis/contention.hpp"
+#include "nbclos/analysis/parallel.hpp"
 #include "nbclos/routing/baselines.hpp"
 #include "nbclos/routing/edge_coloring.hpp"
+#include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 
 namespace nbclos {
@@ -56,9 +58,8 @@ TEST(Verifier, AdversarialBeatsRandomOnRareBlocking) {
   const FoldedClos ft(FtreeParams{2, 4, 4});
   const DModKRouting routing(ft);
   ASSERT_FALSE(is_nonblocking_single_path(routing));
-  Xoshiro256 rng(12);
   const auto result = verify_adversarial(
-      ft, as_pattern_router(routing), AdversarialOptions{10, 1000}, rng);
+      ft, as_pattern_router(routing), AdversarialOptions{10, 1000}, 12);
   EXPECT_FALSE(result.nonblocking);
   ASSERT_TRUE(result.counterexample.has_value());
   EXPECT_TRUE(has_contention(ft, routing.route_all(*result.counterexample)));
@@ -67,9 +68,8 @@ TEST(Verifier, AdversarialBeatsRandomOnRareBlocking) {
 TEST(Verifier, AdversarialStaysCleanOnNonblockingScheme) {
   const FoldedClos ft(FtreeParams{2, 4, 5});
   const YuanNonblockingRouting routing(ft);
-  Xoshiro256 rng(13);
   const auto result = verify_adversarial(
-      ft, as_pattern_router(routing), AdversarialOptions{3, 200}, rng);
+      ft, as_pattern_router(routing), AdversarialOptions{3, 200}, 13);
   EXPECT_TRUE(result.nonblocking);
 }
 
@@ -101,7 +101,7 @@ TEST(Verifier, WorstCaseSearchEscalatesCollisions) {
   }
   random_mean /= 30.0;
   const auto worst = worst_case_search(ft, as_pattern_router(routing),
-                                       AdversarialOptions{4, 800}, rng);
+                                       AdversarialOptions{4, 800}, 33);
   EXPECT_GT(static_cast<double>(worst.collisions), random_mean);
   // The reported permutation really produces the reported collisions.
   LinkLoadMap map(ft);
@@ -113,9 +113,8 @@ TEST(Verifier, WorstCaseSearchEscalatesCollisions) {
 TEST(Verifier, WorstCaseSearchFindsZeroForNonblockingScheme) {
   const FoldedClos ft(FtreeParams{2, 4, 5});
   const YuanNonblockingRouting routing(ft);
-  Xoshiro256 rng(34);
   const auto worst = worst_case_search(ft, as_pattern_router(routing),
-                                       AdversarialOptions{3, 300}, rng);
+                                       AdversarialOptions{3, 300}, 34);
   EXPECT_EQ(worst.collisions, 0U);
   EXPECT_GT(worst.evaluations, 0U);
 }
@@ -126,12 +125,13 @@ TEST(Verifier, DeltaRestartMatchesFullRestartExactly) {
   // trajectory (accepts, reverts, final pattern) is identical.
   const FoldedClos ft(FtreeParams{2, 4, 4});
   const DModKRouting routing(ft);
+  const auto cache = routing::RouteCache::materialize(routing);
   for (const std::uint64_t seed : {3ULL, 17ULL, 99ULL}) {
     for (const bool stop_on_positive : {false, true}) {
       const auto full = adversarial_restart(ft, as_pattern_router(routing),
                                             300, seed, stop_on_positive);
       const auto delta =
-          adversarial_restart(ft, routing, 300, seed, stop_on_positive);
+          adversarial_restart(ft, cache, 300, seed, stop_on_positive);
       EXPECT_EQ(delta.collisions, full.collisions) << "seed " << seed;
       EXPECT_EQ(delta.evaluations, full.evaluations) << "seed " << seed;
       EXPECT_EQ(delta.pattern, full.pattern) << "seed " << seed;
@@ -139,49 +139,15 @@ TEST(Verifier, DeltaRestartMatchesFullRestartExactly) {
   }
 }
 
-TEST(Verifier, DeltaAdversarialOverloadMatchesPatternRouterOverload) {
-  const FoldedClos ft(FtreeParams{2, 4, 4});
-  const DModKRouting routing(ft);
-  const AdversarialOptions options{6, 500};
-  Xoshiro256 rng_full(12);
-  const auto full =
-      verify_adversarial(ft, as_pattern_router(routing), options, rng_full);
-  Xoshiro256 rng_delta(12);
-  const auto delta = verify_adversarial(ft, routing, options, rng_delta);
-  EXPECT_EQ(delta.nonblocking, full.nonblocking);
-  EXPECT_EQ(delta.permutations_checked, full.permutations_checked);
-  EXPECT_EQ(delta.counterexample.has_value(), full.counterexample.has_value());
-  if (delta.counterexample && full.counterexample) {
-    EXPECT_EQ(*delta.counterexample, *full.counterexample);
-    EXPECT_EQ(delta.counterexample_collisions, full.counterexample_collisions);
-  }
-}
-
-TEST(Verifier, DeltaWorstCaseOverloadMatchesPatternRouterOverload) {
-  const FoldedClos ft(FtreeParams{3, 2, 6});
-  const DModKRouting routing(ft);
-  const AdversarialOptions options{4, 400};
-  Xoshiro256 rng_full(33);
-  const auto full =
-      worst_case_search(ft, as_pattern_router(routing), options, rng_full);
-  Xoshiro256 rng_delta(33);
-  const auto delta = worst_case_search(ft, routing, options, rng_delta);
-  EXPECT_EQ(delta.collisions, full.collisions);
-  EXPECT_EQ(delta.evaluations, full.evaluations);
-  EXPECT_EQ(delta.permutation, full.permutation);
-  // And the reported pattern really produces the reported collisions.
-  LinkLoadMap map(ft);
-  map.add_paths(routing.route_all(delta.permutation));
-  EXPECT_EQ(map.colliding_pairs(), delta.collisions);
-}
-
 TEST(Verifier, DeltaAdversarialFindsRareBlocking) {
+  // The cache-backed delta climb (a 1-thread pool is the serial fast
+  // path) on the same budget and seed as the full re-evaluation above.
   const FoldedClos ft(FtreeParams{2, 4, 4});
   const DModKRouting routing(ft);
   ASSERT_FALSE(is_nonblocking_single_path(routing));
-  Xoshiro256 rng(12);
-  const auto result =
-      verify_adversarial(ft, routing, AdversarialOptions{10, 1000}, rng);
+  ThreadPool pool(1);
+  const auto result = verify_adversarial_parallel(
+      ft, routing, AdversarialOptions{10, 1000}, 12, pool);
   EXPECT_FALSE(result.nonblocking);
   ASSERT_TRUE(result.counterexample.has_value());
   EXPECT_TRUE(has_contention(ft, routing.route_all(*result.counterexample)));
@@ -202,10 +168,9 @@ TEST(Verifier, ExhaustiveStopsAtLowestRankCounterexample) {
 TEST(Verifier, CountsPermutationsInAdversarialMode) {
   const FoldedClos ft(FtreeParams{2, 4, 3});
   const YuanNonblockingRouting routing(ft);
-  Xoshiro256 rng(14);
   const AdversarialOptions options{2, 50};
   const auto result =
-      verify_adversarial(ft, as_pattern_router(routing), options, rng);
+      verify_adversarial(ft, as_pattern_router(routing), options, 14);
   // 2 restarts x (1 initial + <= 50 steps); i == j steps don't evaluate.
   EXPECT_GE(result.permutations_checked, 2U);
   EXPECT_LE(result.permutations_checked, 102U);

@@ -32,21 +32,6 @@ using flow::OnOffSignal;
 using flow::PacketPool;
 using flow::Switching;
 
-std::shared_ptr<const routing::ChannelRouteCache> make_cache(
-    const FoldedClos& ft, const Network& net,
-    const SinglePathRouting& routing) {
-  return std::make_shared<const routing::ChannelRouteCache>(
-      net, [&](SDPair sd) {
-        LinkId run[FoldedClos::kMaxPathLinks];
-        const auto count = ft.links_into(routing.route(sd), run);
-        std::vector<std::uint32_t> channels;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          channels.push_back(run[i].value);
-        }
-        return channels;
-      });
-}
-
 /// Small shared fabric: ftree(2+4, 3), Yuan routing, shift permutation.
 class FlowEngine : public ::testing::Test {
  protected:
@@ -54,7 +39,8 @@ class FlowEngine : public ::testing::Test {
       : ft(FtreeParams{2, 4, 3}),
         net(build_network(ft)),
         yuan(ft),
-        cache(make_cache(ft, net, yuan)),
+        cache(std::make_shared<const routing::ChannelRouteCache>(
+            routing::ChannelRouteCache::materialize(net, yuan))),
         traffic(sim::TrafficPattern::permutation(
             shift_permutation(ft.leaf_count(), 1), ft.leaf_count())) {}
 
@@ -455,7 +441,8 @@ TEST(MmapSpill, SpilledArenasAreBitIdenticalToHeap) {
   const FoldedClos ft(FtreeParams{2, 4, 3});
   const Network net = build_network(ft);
   const YuanNonblockingRouting yuan(ft);
-  const auto cache = make_cache(ft, net, yuan);
+  const auto cache = std::make_shared<const routing::ChannelRouteCache>(
+      routing::ChannelRouteCache::materialize(net, yuan));
   const auto traffic = sim::TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 1), ft.leaf_count());
   FlowConfig config;

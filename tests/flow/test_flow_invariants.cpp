@@ -24,21 +24,6 @@ using flow::FlowResult;
 using flow::FlowSim;
 using flow::Switching;
 
-std::shared_ptr<const routing::ChannelRouteCache> make_cache(
-    const FoldedClos& ft, const Network& net,
-    const SinglePathRouting& routing) {
-  return std::make_shared<const routing::ChannelRouteCache>(
-      net, [&](SDPair sd) {
-        LinkId run[FoldedClos::kMaxPathLinks];
-        const auto count = ft.links_into(routing.route(sd), run);
-        std::vector<std::uint32_t> channels;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          channels.push_back(run[i].value);
-        }
-        return channels;
-      });
-}
-
 void expect_identical(const FlowResult& a, const FlowResult& b) {
   EXPECT_EQ(a.offered_load, b.offered_load);
   EXPECT_EQ(a.accepted_throughput, b.accepted_throughput);
@@ -66,7 +51,8 @@ class FlowInvariants : public ::testing::Test {
       : ft(FtreeParams{2, 4, 3}),
         net(build_network(ft)),
         yuan(ft),
-        cache(make_cache(ft, net, yuan)),
+        cache(std::make_shared<const routing::ChannelRouteCache>(
+            routing::ChannelRouteCache::materialize(net, yuan))),
         traffic(sim::TrafficPattern::permutation(
             shift_permutation(ft.leaf_count(), 1), ft.leaf_count())) {}
 

@@ -53,9 +53,8 @@ TEST(Baselines, DModKBlocksEvenWithManyTopSwitches) {
   const DModKRouting routing(ft);
   EXPECT_FALSE(is_nonblocking_single_path(routing));
   // And the verifier exhibits a concrete blocked permutation.
-  Xoshiro256 rng(5);
   const auto result = verify_adversarial(
-      ft, as_pattern_router(routing), AdversarialOptions{8, 500}, rng);
+      ft, as_pattern_router(routing), AdversarialOptions{8, 500}, 5);
   EXPECT_FALSE(result.nonblocking);
   ASSERT_TRUE(result.counterexample.has_value());
   // The counterexample really is a permutation and really collides.

@@ -130,29 +130,15 @@ TEST(U32Store, MmapCacheDirParsesTheEnvironment) {
   }
 }
 
-/// Build the Yuan route cache for a small ftree; factored so the heap
-/// and mmap builds use byte-for-byte the same route function.
-routing::ChannelRouteCache build_yuan_cache(const Network& net,
-                                            const FoldedClos& ft,
-                                            const YuanNonblockingRouting& yuan) {
-  return routing::ChannelRouteCache(net, [&](SDPair sd) {
-    LinkId run[FoldedClos::kMaxPathLinks];
-    const auto count = ft.links_into(yuan.route(sd), run);
-    std::vector<std::uint32_t> channels;
-    for (std::uint32_t i = 0; i < count; ++i) channels.push_back(run[i].value);
-    return channels;
-  });
-}
-
 TEST(ChannelRouteCache, MmapBackedCacheRoundTripsAgainstHeap) {
   const FoldedClos ft(FtreeParams{3, 9, 5});
   const Network net = build_network(ft);
   const YuanNonblockingRouting yuan(ft);
-  const auto heap_cache = build_yuan_cache(net, ft, yuan);
+  const auto heap_cache = routing::ChannelRouteCache::materialize(net, yuan);
   EXPECT_FALSE(heap_cache.mmap_backed());
 
   ScopedMmapEnv env("1");
-  const auto mmap_cache = build_yuan_cache(net, ft, yuan);
+  const auto mmap_cache = routing::ChannelRouteCache::materialize(net, yuan);
 #ifdef __linux__
   EXPECT_TRUE(mmap_cache.mmap_backed());
 #endif

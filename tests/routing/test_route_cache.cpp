@@ -3,6 +3,7 @@
 /// (flagged) fabrics and the large-radix smoke instance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -98,21 +99,44 @@ TEST(RouteCache, ReportsArenaBytes) {
             (cache.pair_count() + 1) * sizeof(std::uint32_t));
 }
 
-TEST(ChannelRouteCache, NextHopWalksThePrecomputedRun) {
-  const FoldedClos ft(FtreeParams{2, 4, 3});
+TEST(ChannelRouteCache, MaterializeMatchesHandBuiltRuns) {
+  const FoldedClos ft(FtreeParams{3, 4, 5});
   const Network net = build_network(ft);
-  const YuanNonblockingRouting yuan(ft);
-  // channel id == LinkId by the FtreeNetworkMap contract.
-  const routing::ChannelRouteCache cache(
+  const DModKRouting dmodk(ft);
+  // Reference: the runs flattened by hand (channel id == LinkId by the
+  // FtreeNetworkMap contract).
+  const routing::ChannelRouteCache expect(
       net, [&](SDPair sd) {
         LinkId run[FoldedClos::kMaxPathLinks];
-        const auto count = ft.links_into(yuan.route(sd), run);
+        const auto count = ft.links_into(dmodk.route(sd), run);
         std::vector<std::uint32_t> channels;
         for (std::uint32_t i = 0; i < count; ++i) {
           channels.push_back(run[i].value);
         }
         return channels;
       });
+  const auto cache = routing::ChannelRouteCache::materialize(net, dmodk);
+  ASSERT_EQ(cache.terminal_count(), expect.terminal_count());
+  EXPECT_EQ(cache.entry_count(), expect.entry_count());
+  for (std::uint32_t s = 0; s < cache.terminal_count(); ++s) {
+    for (std::uint32_t d = 0; d < cache.terminal_count(); ++d) {
+      const auto got = cache.channels(s, d);
+      const auto want = expect.channels(s, d);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "pair " << s << "->" << d;
+    }
+  }
+  // A network built from another fabric is rejected up front.
+  const Network other = build_network(FoldedClos(FtreeParams{2, 4, 3}));
+  EXPECT_THROW((void)routing::ChannelRouteCache::materialize(other, dmodk),
+               precondition_error);
+}
+
+TEST(ChannelRouteCache, NextHopWalksThePrecomputedRun) {
+  const FoldedClos ft(FtreeParams{2, 4, 3});
+  const Network net = build_network(ft);
+  const YuanNonblockingRouting yuan(ft);
+  const auto cache = routing::ChannelRouteCache::materialize(net, yuan);
   ASSERT_EQ(cache.terminal_count(), ft.leaf_count());
   const auto terminals = net.terminals();
   for (std::uint32_t s = 0; s < cache.terminal_count(); ++s) {

@@ -94,9 +94,8 @@ TEST(YuanRouting, RandomPermutationsNeverContend) {
 TEST(YuanRouting, AdversarialSearchFindsNothing) {
   const auto ft = theorem3_ftree(3, 8);
   const YuanNonblockingRouting routing(ft);
-  Xoshiro256 rng(77);
   const auto result = verify_adversarial(
-      ft, as_pattern_router(routing), AdversarialOptions{4, 300}, rng);
+      ft, as_pattern_router(routing), AdversarialOptions{4, 300}, 77);
   EXPECT_TRUE(result.nonblocking);
 }
 

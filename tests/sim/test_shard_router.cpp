@@ -140,13 +140,7 @@ TEST(ShardRouteView, ViewsPartitionTheFullCache) {
   const FoldedClos ft(FtreeParams{2, 4, 3});
   const Network net = build_network(ft);
   const YuanNonblockingRouting yuan(ft);
-  const routing::ChannelRouteCache cache(net, [&](SDPair sd) {
-    LinkId run[FoldedClos::kMaxPathLinks];
-    const auto count = ft.links_into(yuan.route(sd), run);
-    std::vector<std::uint32_t> channels;
-    for (std::uint32_t i = 0; i < count; ++i) channels.push_back(run[i].value);
-    return channels;
-  });
+  const auto cache = routing::ChannelRouteCache::materialize(net, yuan);
 
   for (const std::uint32_t shards : {1U, 2U, 3U, 4U}) {
     const auto plan = ShardPlan::build(net, shards);
@@ -180,13 +174,7 @@ TEST(CachedShardRouter, MatchesCacheWithAndWithoutViews) {
   const FoldedClos ft(FtreeParams{2, 4, 3});
   const Network net = build_network(ft);
   const YuanNonblockingRouting yuan(ft);
-  const routing::ChannelRouteCache cache(net, [&](SDPair sd) {
-    LinkId run[FoldedClos::kMaxPathLinks];
-    const auto count = ft.links_into(yuan.route(sd), run);
-    std::vector<std::uint32_t> channels;
-    for (std::uint32_t i = 0; i < count; ++i) channels.push_back(run[i].value);
-    return channels;
-  });
+  const auto cache = routing::ChannelRouteCache::materialize(net, yuan);
   sim::CachedShardRouter plain(cache);
   sim::CachedShardRouter viewed(cache);
   const auto plan = ShardPlan::build(net, 3);

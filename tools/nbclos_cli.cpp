@@ -41,9 +41,11 @@
 ///                     run and write the merged time series on exit —
 ///                     CSV when FILE ends in ".csv", else JSON
 ///                     ("-" = JSON to stdout)
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -183,8 +185,28 @@ bool ends_with(const std::string& text, const std::string& suffix) {
          text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-std::uint32_t arg_u32(const std::vector<std::string>& args, std::size_t i) {
-  return static_cast<std::uint32_t>(std::stoul(args.at(i)));
+/// Parse a decimal count given for `what` (a flag or argument name):
+/// digits only — no sign, blanks or trailing junk — and the value must
+/// fit T.  Errors name `what`, so a bad count never wraps around.
+template <typename T = std::uint32_t>
+T parse_count(const std::string& text, const std::string& what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument(what + ": '" + text + "' exceeds the maximum " +
+                                std::to_string(std::numeric_limits<T>::max()));
+  }
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument(
+        what + ": expected a non-negative integer, got '" + text + "'");
+  }
+  return value;
+}
+
+std::uint32_t arg_u32(const std::vector<std::string>& args, std::size_t i,
+                      const std::string& what) {
+  return parse_count(args.at(i), what);
 }
 
 /// Remove `name <value>` from `args` wherever it appears; returns the
@@ -196,7 +218,7 @@ std::optional<std::uint32_t> take_u32_flag(std::vector<std::string>& args,
     if (i + 1 >= args.size()) {
       throw std::invalid_argument(name + " needs a value");
     }
-    const auto value = static_cast<std::uint32_t>(std::stoul(args[i + 1]));
+    const auto value = parse_count(args[i + 1], name);
     args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
     return value;
@@ -223,14 +245,18 @@ TopoSpec parse_topo(const std::vector<std::string>& args, std::size_t& i) {
       throw std::invalid_argument("k-ary spec is kary:K,H");
     }
     topo.kary = true;
-    topo.k = static_cast<std::uint32_t>(std::stoul(first.substr(5, comma - 5)));
-    topo.h = static_cast<std::uint32_t>(std::stoul(first.substr(comma + 1)));
+    const std::string spec = "k-ary spec '" + first + "'";
+    topo.k = parse_count(first.substr(5, comma - 5), spec + " K");
+    topo.h = parse_count(first.substr(comma + 1), spec + " H");
+    if (topo.k < 2 || topo.h < 1) {
+      throw std::invalid_argument(spec + " needs K >= 2 and H >= 1");
+    }
     topo.name = "kary(" + std::to_string(topo.k) + "," +
                 std::to_string(topo.h) + ")";
     i += 1;
   } else {
-    topo.n = arg_u32(args, i);
-    topo.r = arg_u32(args, i + 1);
+    topo.n = arg_u32(args, i, "<n>");
+    topo.r = arg_u32(args, i + 1, "<r>");
     topo.name = "ftree(" + std::to_string(topo.n) + "+" +
                 std::to_string(topo.n * topo.n) + ", " +
                 std::to_string(topo.r) + ")";
@@ -260,15 +286,7 @@ std::unique_ptr<nbclos::sim::ShardRouter> make_shard_router(
   if (routing == "thm3") {
     const nbclos::YuanNonblockingRouting yuan(*ft);
     cache = std::make_shared<const nbclos::routing::ChannelRouteCache>(
-        net, [&](nbclos::SDPair sd) {
-          nbclos::LinkId run[nbclos::FoldedClos::kMaxPathLinks];
-          const auto count = ft->links_into(yuan.route(sd), run);
-          std::vector<std::uint32_t> channels;
-          for (std::uint32_t j = 0; j < count; ++j) {
-            channels.push_back(run[j].value);
-          }
-          return channels;
-        });
+        nbclos::routing::ChannelRouteCache::materialize(net, yuan));
     auto router = std::make_unique<nbclos::sim::CachedShardRouter>(*cache);
     const auto plan = nbclos::sim::ShardPlan::build(net, shards);
     router->attach_views(plan.vertex_begin);
@@ -280,7 +298,7 @@ std::unique_ptr<nbclos::sim::ShardRouter> make_shard_router(
 }
 
 int cmd_design(const std::vector<std::string>& args) {
-  const auto radix = arg_u32(args, 0);
+  const auto radix = arg_u32(args, 0, "<radix>");
   const auto design = nbclos::design_for_radix(radix);
   if (!design) {
     std::cout << "no nonblocking design fits radix " << radix
@@ -295,7 +313,7 @@ int cmd_design(const std::vector<std::string>& args) {
             << design->switch_radix << ")\n"
             << "  links:    " << design->links << " (bidirectional)\n";
   if (args.size() >= 2) {
-    const auto target = std::stoull(args[1]);
+    const auto target = parse_count<std::uint64_t>(args[1], "[target_ports]");
     for (std::uint32_t levels = 2; levels <= 6; ++levels) {
       const auto rec = nbclos::recursive_design(design->n, levels);
       if (rec.ports >= target) {
@@ -311,9 +329,9 @@ int cmd_design(const std::vector<std::string>& args) {
 }
 
 int cmd_certify(const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0);
+  const auto n = arg_u32(args, 0, "<n>");
   const std::optional<std::uint32_t> r =
-      args.size() >= 2 ? std::optional(arg_u32(args, 1)) : std::nullopt;
+      args.size() >= 2 ? std::optional(arg_u32(args, 1, "[r]")) : std::nullopt;
   const nbclos::NonblockingFabric fabric(n, r);
   std::cout << "ftree(" << n << "+" << n * n << ", " << fabric.topology().r()
             << "): " << fabric.port_count() << " ports\n"
@@ -326,8 +344,8 @@ int cmd_certify(const std::vector<std::string>& args) {
 }
 
 int cmd_schedule(const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0);
-  const auto r = arg_u32(args, 1);
+  const auto n = arg_u32(args, 0, "<n>");
+  const auto r = arg_u32(args, 1, "<r>");
   const nbclos::adaptive::AdaptiveParams params{
       n, r, nbclos::min_digit_width(r, n)};
   const nbclos::adaptive::NonblockingAdaptiveRouter router(params);
@@ -454,11 +472,11 @@ int cmd_flow_sim(std::vector<std::string> args) {
     const std::string& flag = args[i];
     const auto next = [&] { return args.at(++i); };
     if (flag == "--packet") {
-      config.packet_flits = static_cast<std::uint32_t>(std::stoul(next()));
+      config.packet_flits = parse_count(next(), flag);
     } else if (flag == "--buffers") {
-      config.buffer_flits = static_cast<std::uint32_t>(std::stoul(next()));
+      config.buffer_flits = parse_count(next(), flag);
     } else if (flag == "--vcs") {
-      config.vcs = static_cast<std::uint32_t>(std::stoul(next()));
+      config.vcs = parse_count(next(), flag);
     } else if (flag == "--switching") {
       const std::string mode = next();
       if (mode == "wormhole") {
@@ -473,9 +491,9 @@ int cmd_flow_sim(std::vector<std::string> args) {
     } else if (flag == "--onoff") {
       config.backpressure = nbclos::flow::Backpressure::kOnOff;
     } else if (flag == "--credit-delay") {
-      config.credit_delay = static_cast<std::uint32_t>(std::stoul(next()));
+      config.credit_delay = parse_count(next(), flag);
     } else if (flag == "--seed") {
-      config.seed = std::stoull(next());
+      config.seed = parse_count<std::uint64_t>(next(), flag);
     } else if (flag == "--json") {
       json = true;
     } else {
@@ -514,15 +532,7 @@ int cmd_flow_sim(std::vector<std::string> args) {
     }
     routes = std::make_shared<const nbclos::flow::CacheRouteSource>(
         std::make_shared<const nbclos::routing::ChannelRouteCache>(
-            net, [&](nbclos::SDPair sd) {
-              nbclos::LinkId run[nbclos::FoldedClos::kMaxPathLinks];
-              const auto count = ft->links_into(routing->route(sd), run);
-              std::vector<std::uint32_t> channels;
-              for (std::uint32_t k = 0; k < count; ++k) {
-                channels.push_back(run[k].value);
-              }
-              return channels;
-            }));
+            nbclos::routing::ChannelRouteCache::materialize(net, *routing)));
     routing_label = routing->name();
   }
   const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
@@ -733,7 +743,8 @@ int cmd_load_sweep(std::vector<std::string> args) {
   const std::vector<double> rates =
       i < args.size() ? parse_rates_csv(args[i++])
                       : std::vector<double>{0.1, 0.3, 0.5, 0.7, 0.9, 1.0};
-  const std::size_t threads = i < args.size() ? std::stoull(args[i++]) : 0;
+  const std::size_t threads =
+      i < args.size() ? parse_count<std::size_t>(args[i++], "[threads]") : 0;
   g_manifest_shards = shards.value_or(0);
 
   std::unique_ptr<nbclos::FoldedClos> ft;
@@ -796,11 +807,13 @@ int cmd_load_sweep(std::vector<std::string> args) {
 }
 
 int cmd_saturation(const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0);
-  const auto r = arg_u32(args, 1);
+  const auto n = arg_u32(args, 0, "<n>");
+  const auto r = arg_u32(args, 1, "<r>");
   const std::string routing = args.at(2);
-  const std::uint32_t iterations = args.size() >= 4 ? arg_u32(args, 3) : 6;
-  const std::size_t threads = args.size() >= 5 ? std::stoull(args[4]) : 0;
+  const std::uint32_t iterations =
+      args.size() >= 4 ? arg_u32(args, 3, "[iterations]") : 6;
+  const std::size_t threads =
+      args.size() >= 5 ? parse_count<std::size_t>(args[4], "[threads]") : 0;
 
   const nbclos::FoldedClos ft(nbclos::FtreeParams{n, n * n, r});
   const auto net = nbclos::build_network(ft);
@@ -830,10 +843,11 @@ int cmd_saturation(const std::vector<std::string>& args) {
 }
 
 int cmd_circuit(const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0);
-  const auto m = arg_u32(args, 1);
-  const auto r = arg_u32(args, 2);
-  const std::uint64_t steps = args.size() >= 4 ? std::stoull(args[3]) : 20000;
+  const auto n = arg_u32(args, 0, "<n>");
+  const auto m = arg_u32(args, 1, "<m>");
+  const auto r = arg_u32(args, 2, "<r>");
+  const std::uint64_t steps =
+      args.size() >= 4 ? parse_count<std::uint64_t>(args[3], "[steps]") : 20000;
   nbclos::circuit::ClosCircuitSwitch clos(n, m, r);
   nbclos::Xoshiro256 rng(5);
   const auto result = nbclos::circuit::run_churn(
@@ -850,11 +864,15 @@ int cmd_circuit(const std::vector<std::string>& args) {
 
 int cmd_fault_sweep(const std::vector<std::string>& args) {
   nbclos::analysis::FaultSweepConfig config;
-  config.n = arg_u32(args, 0);
-  config.r = arg_u32(args, 1);
-  config.max_failures = arg_u32(args, 2);
-  if (args.size() >= 4) config.permutations_per_level = arg_u32(args, 3);
-  if (args.size() >= 5) config.seed = std::stoull(args[4]);
+  config.n = arg_u32(args, 0, "<n>");
+  config.r = arg_u32(args, 1, "<r>");
+  config.max_failures = arg_u32(args, 2, "<max_failures>");
+  if (args.size() >= 4) {
+    config.permutations_per_level = arg_u32(args, 3, "[perms]");
+  }
+  if (args.size() >= 5) {
+    config.seed = parse_count<std::uint64_t>(args[4], "[seed]");
+  }
 
   nbclos::ThreadPool pool;
   const auto result = nbclos::analysis::run_fault_sweep(config, pool);
@@ -890,8 +908,8 @@ int cmd_fault_sweep(const std::vector<std::string>& args) {
 /// given), whose results are thread-count independent, so --threads only
 /// changes wall-clock time, never the verdict.
 int cmd_verify(const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0);
-  const auto r = arg_u32(args, 1);
+  const auto n = arg_u32(args, 0, "<n>");
+  const auto r = arg_u32(args, 1, "<r>");
   const std::string mode = args.at(2);
   std::string routing_name = "thm3";
   std::size_t i = 3;
@@ -907,18 +925,17 @@ int cmd_verify(const std::vector<std::string>& args) {
     const std::string& flag = args[i];
     const auto next = [&] { return args.at(++i); };
     if (flag == "--m") {
-      m = static_cast<std::uint32_t>(std::stoul(next()));
+      m = parse_count(next(), flag);
     } else if (flag == "--threads") {
-      threads = std::stoull(next());
+      threads = parse_count<std::size_t>(next(), flag);
     } else if (flag == "--trials") {
-      trials = std::stoull(next());
+      trials = parse_count<std::uint64_t>(next(), flag);
     } else if (flag == "--restarts") {
-      options.restarts = static_cast<std::uint32_t>(std::stoul(next()));
+      options.restarts = parse_count(next(), flag);
     } else if (flag == "--steps") {
-      options.steps_per_restart =
-          static_cast<std::uint32_t>(std::stoul(next()));
+      options.steps_per_restart = parse_count(next(), flag);
     } else if (flag == "--seed") {
-      seed = std::stoull(next());
+      seed = parse_count<std::uint64_t>(next(), flag);
     } else if (flag == "--json") {
       json = true;
     } else {
@@ -937,16 +954,16 @@ int cmd_verify(const std::vector<std::string>& args) {
   }
 
   nbclos::ThreadPool pool(threads);
-  const auto factory = [&routing](std::uint64_t) {
-    return nbclos::as_pattern_router(*routing);
-  };
   nbclos::VerifyResult result;
   std::uint64_t space = 0;  // 0 = unbounded / not applicable
   if (mode == "exhaustive") {
     space = nbclos::factorial(ftree.leaf_count());
+    const auto factory = [&routing](std::uint64_t) {
+      return nbclos::as_pattern_router(*routing);
+    };
     result = nbclos::verify_exhaustive_parallel(ftree, factory, pool);
   } else if (mode == "random") {
-    result = nbclos::verify_random_parallel(ftree, factory, trials, seed,
+    result = nbclos::verify_random_parallel(ftree, *routing, trials, seed,
                                             pool);
   } else if (mode == "adversarial") {
     result = nbclos::verify_adversarial_parallel(ftree, *routing, options,
@@ -1027,15 +1044,7 @@ int cmd_metrics_serve(std::vector<std::string> args) {
     const nbclos::YuanNonblockingRouting routing(ft);
     const auto cache =
         std::make_shared<const nbclos::routing::ChannelRouteCache>(
-            net, [&](nbclos::SDPair sd) {
-              nbclos::LinkId run[nbclos::FoldedClos::kMaxPathLinks];
-              const auto count = ft.links_into(routing.route(sd), run);
-              std::vector<std::uint32_t> channels;
-              for (std::uint32_t j = 0; j < count; ++j) {
-                channels.push_back(run[j].value);
-              }
-              return channels;
-            });
+            nbclos::routing::ChannelRouteCache::materialize(net, routing));
     const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
     const auto traffic = nbclos::sim::TrafficPattern::permutation(
         nbclos::shift_permutation(terminals, 5), terminals);
@@ -1118,9 +1127,9 @@ int cmd_metrics_serve(std::vector<std::string> args) {
 }
 
 int cmd_dot(const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0);
+  const auto n = arg_u32(args, 0, "<n>");
   const std::optional<std::uint32_t> r =
-      args.size() >= 2 ? std::optional(arg_u32(args, 1)) : std::nullopt;
+      args.size() >= 2 ? std::optional(arg_u32(args, 1, "[r]")) : std::nullopt;
   const nbclos::NonblockingFabric fabric(n, r);
   nbclos::DotOptions options;
   options.graph_name = "ftree";
@@ -1183,7 +1192,7 @@ int main(int argc, char** argv) {
     } else if ((command == "simulate" || command == "sim") &&
                args.size() >= 3) {
       rc = cmd_simulate(args);
-    } else if (command == "flow-sim" && args.size() >= 3) {
+    } else if (command == "flow-sim" && args.size() >= 2) {
       rc = cmd_flow_sim(args);
     } else if (command == "load-sweep" && args.size() >= 2) {
       rc = cmd_load_sweep(args);
