@@ -8,20 +8,20 @@
 /// nested set of bottom<->top link pairs; the pristine run is the
 /// baseline.  Levels run concurrently over a ThreadPool via
 /// analysis::run_fault_throughput_sweep — each level is independently
-/// seeded, so output is byte-identical at any thread count.  Emits a
-/// single JSON document on stdout so downstream tooling can diff
+/// seeded, so output is byte-identical at any thread count.  Emits one
+/// nbclos-bench-v1 document on stdout so downstream tooling can diff
 /// degraded-vs-pristine throughput across levels.
-#include <chrono>
 #include <iostream>
+#include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/fault/sweep.hpp"
-#include "nbclos/obs/run_info.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
-#include "nbclos/util/json.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  nbclos::bench::parse_args(argc, argv);  // no flags used; rejects junk
   constexpr std::uint32_t kN = 4;
   constexpr std::uint32_t kR = 8;
   constexpr double kLoad = 0.9;
@@ -45,49 +45,35 @@ int main() {
   // 0..64 of the 128 bottom<->top pairs; the heavy levels push past what
   // least-loaded fallback can absorb so the degradation becomes visible.
   const std::vector<std::uint32_t> levels{0, 4, 8, 16, 32, 64};
-  const auto wall_start = std::chrono::steady_clock::now();
+  nbclos::bench::Report report("fault_degradation");
   nbclos::ThreadPool pool;
+  report.manifest().seed = kFaultSeed;
+  report.manifest().threads = static_cast<std::uint32_t>(pool.thread_count());
   const auto results = nbclos::analysis::run_fault_throughput_sweep(
       ftree, net, table, traffic, config, levels, kFaultSeed, &pool);
 
-  auto manifest = nbclos::obs::RunInfo::current();
-  manifest.seed = kFaultSeed;
-  manifest.threads = static_cast<std::uint32_t>(pool.thread_count());
-  manifest.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-
-  const double pristine = results.front().sim.accepted_throughput;
-  nbclos::JsonWriter json(std::cout);
-  json.begin_object();
-  json.member("experiment", "fault_degradation");
-  const std::string topology = "ftree(" + std::to_string(kN) + "+" +
+  report.param("topology", "ftree(" + std::to_string(kN) + "+" +
                                std::to_string(kN * kN) + ", " +
-                               std::to_string(kR) + ")";
-  json.member("topology", topology);
-  json.member("routing", "ftree-fault-table (Theorem 3 primary)");
-  json.member("traffic", "shift permutation");
-  json.member("offered_load", kLoad);
-  json.member("fault_seed", kFaultSeed);
-  json.member("pristine_accepted_throughput", pristine);
-  json.key("levels").begin_array();
+                               std::to_string(kR) + ")");
+  report.param("routing", "ftree-fault-table (Theorem 3 primary)");
+  report.param("traffic", "shift permutation");
+  report.param("offered_load", kLoad);
+  report.param("fault_seed", kFaultSeed);
+  const double pristine = results.front().sim.accepted_throughput;
+  report.metric("pristine_accepted_throughput", pristine,
+                "flits/cycle/terminal");
   for (const auto& level : results) {
-    json.begin_object();
-    json.member("failed_uplink_pairs", level.failures);
-    json.member("accepted_throughput", level.sim.accepted_throughput);
-    json.member("throughput_vs_pristine",
-                pristine > 0.0 ? level.sim.accepted_throughput / pristine
-                               : 0.0);
-    json.member("mean_latency", level.sim.mean_latency);
-    json.member("dropped_packets", level.sim.dropped_packets);
-    json.member("reroutes", level.reroutes);
-    json.end_object();
+    const std::string p = "failed" + std::to_string(level.failures) + ".";
+    report.metric(p + "accepted_throughput", level.sim.accepted_throughput,
+                  "flits/cycle/terminal");
+    report.metric(p + "throughput_vs_pristine",
+                  pristine > 0.0 ? level.sim.accepted_throughput / pristine
+                                 : 0.0,
+                  "ratio");
+    report.metric(p + "mean_latency", level.sim.mean_latency, "cycles");
+    report.metric(p + "dropped_packets", level.sim.dropped_packets,
+                  "packets");
+    report.metric(p + "reroutes", level.reroutes, "reroutes");
   }
-  json.end_array();
-  json.key("manifest");
-  manifest.write_json(json);
-  json.end_object();
-  std::cout << "\n";
-  return 0;
+  return report.write(std::cout);
 }

@@ -4,8 +4,8 @@
 ///        per port each routing needs before it sustains nonblocking
 ///        throughput, on radix-8 and radix-16 fabrics.
 ///
-/// One JSON document on stdout (schema in EXPERIMENTS.md).  For each
-/// radix the harness measures, on ftree(4 + 16, r):
+/// One nbclos-bench-v1 document on stdout (names in EXPERIMENTS.md).
+/// For each radix the harness measures, on ftree(4 + 16, r):
 ///   * engine.{wormhole,vct} — FlowSim wall time at offered load 0.9
 ///     with 4-flit packets and 8-flit buffers, reported as simulated
 ///     cycles/sec (best of repetitions, deterministic work);
@@ -13,8 +13,8 @@
 ///     analysis::buffer_margin_sweep minimum buffer depth at which the
 ///     routing sustains the 0.9 probe (min_flits_nonblocking; 0 = no
 ///     probed depth sustains it).  The Theorem 3 routing is
-///     contention-free, so its margin doubles as a verdict gate: the
-///     regression checker fails the document if it reports 0.
+///     contention-free, so its margin (and the adaptive one) doubles as
+///     a verdict: `sustains_probe` is false when it reports 0.
 /// Traffic is a seeded random permutation — shift permutations are
 /// contention-free even under d-mod-k, so a random one is what
 /// separates the guaranteed routings (Theorem 3 and the adaptive
@@ -25,53 +25,30 @@
 /// to Theorem 3 routes and never carry traffic.  Results are seeded and
 /// bit-reproducible at any thread count.  Pass --quick for CI smoke
 /// budgets, --threads <T> to cap the sweep worker pool.
-#include <chrono>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "harness.hpp"
 #include "nbclos/adaptive/router.hpp"
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/flow/buffer_margin.hpp"
 #include "nbclos/flow/engine.hpp"
-#include "nbclos/obs/run_info.hpp"
 #include "nbclos/routing/baselines.hpp"
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
-#include "nbclos/util/json.hpp"
 #include "nbclos/util/thread_pool.hpp"
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// One untimed warm-up call, then the minimum wall time over `reps`
-/// timed calls (deterministic work; only the timing varies).
-template <typename Fn>
-double best_seconds(int reps, Fn&& fn) {
-  fn();
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const double secs = seconds_since(t0);
-    if (secs < best) best = secs;
-  }
-  return best;
-}
 
 constexpr int kTimingReps = 3;
 
 /// Flatten the NONBLOCKINGADAPTIVE schedule for `pattern` into a channel
 /// cache: scheduled pairs take their adaptive path, everything else (no
-/// traffic under this pattern) falls back to the Theorem 3 route.
+/// traffic under this pattern) falls back to the Theorem 3 route.  Null
+/// when the schedule needs more top switches than `ft` has.
 std::shared_ptr<const nbclos::routing::ChannelRouteCache> make_adaptive_cache(
     const nbclos::FoldedClos& ft, const nbclos::Network& net,
     const nbclos::YuanNonblockingRouting& fallback,
@@ -80,11 +57,7 @@ std::shared_ptr<const nbclos::routing::ChannelRouteCache> make_adaptive_cache(
       nbclos::adaptive::AdaptiveParams::from(ft);
   const nbclos::adaptive::NonblockingAdaptiveRouter router(params);
   const auto schedule = router.route(pattern);
-  if (schedule.top_switches_used > ft.m()) {
-    std::cerr << "adaptive schedule needs " << schedule.top_switches_used
-              << " top switches but ftree has " << ft.m() << "\n";
-    std::exit(1);
-  }
+  if (schedule.top_switches_used > ft.m()) return nullptr;
   const auto paths = schedule.to_paths(ft);
   std::unordered_map<std::uint64_t, nbclos::FtreePath> scheduled;
   const std::uint64_t leafs = ft.leaf_count();
@@ -110,41 +83,26 @@ std::shared_ptr<const nbclos::routing::ChannelRouteCache> make_adaptive_cache(
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::size_t max_threads = 8;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") quick = true;
-    if (arg == "--threads" && i + 1 < argc) {
-      max_threads = std::stoull(argv[i + 1]);
-    }
-  }
+  const auto args = nbclos::bench::parse_args(argc, argv);
+  const std::size_t max_threads = args.threads.value_or(8);
 
-  const auto wall_start = std::chrono::steady_clock::now();
-  auto manifest = nbclos::obs::RunInfo::current();
-  manifest.seed = 42;
-  manifest.threads = static_cast<std::uint32_t>(max_threads);
+  nbclos::bench::Report report("flow");
+  report.manifest().seed = 42;
+  report.manifest().threads = static_cast<std::uint32_t>(max_threads);
   nbclos::ThreadPool pool(max_threads);
 
   // The quick budgets keep every timed engine section in the
   // milliseconds range so the regression ratios stay timer-noise-free.
-  const std::uint64_t warmup = quick ? 300 : 1000;
-  const std::uint64_t measure = quick ? 1500 : 6000;
+  const std::uint64_t warmup = args.quick ? 300 : 1000;
+  const std::uint64_t measure = args.quick ? 1500 : 6000;
   const std::vector<std::uint32_t> depths =
-      quick ? std::vector<std::uint32_t>{1, 2, 4, 8}
-            : std::vector<std::uint32_t>{1, 2, 4, 8, 16};
-
-  nbclos::JsonWriter json(std::cout);
-  json.begin_object();
-  json.member("experiment", "flow");
-  json.member("quick", quick);
-  json.member("hardware_concurrency",
-              static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-  json.member("warmup_cycles", warmup);
-  json.member("measure_cycles", measure);
+      args.quick ? std::vector<std::uint32_t>{1, 2, 4, 8}
+                 : std::vector<std::uint32_t>{1, 2, 4, 8, 16};
+  report.param("quick", args.quick);
+  report.param("warmup_cycles", warmup);
+  report.param("measure_cycles", measure);
 
   const std::vector<std::uint32_t> radices = {8, 16};
-  json.key("cases").begin_array();
   for (const auto r : radices) {
     const std::uint32_t n = 4;
     const nbclos::FoldedClos ft(nbclos::FtreeParams{n, n * n, r});
@@ -164,29 +122,29 @@ int main(int argc, char** argv) {
     const auto traffic =
         nbclos::sim::TrafficPattern::permutation(pattern, ft.leaf_count());
 
+    const std::string p = "radix" + std::to_string(r) + ".";
+    report.param(p + "topology", "ftree(" + std::to_string(n) + "+" +
+                                     std::to_string(n * n) + ", " +
+                                     std::to_string(r) + ")");
+    report.param(p + "leafs", ft.leaf_count());
+    report.param(p + "links", ft.link_count());
+
     struct RoutingCase {
       const char* key;
       std::shared_ptr<const nbclos::routing::ChannelRouteCache> cache;
     };
     using nbclos::routing::ChannelRouteCache;
-    const std::vector<RoutingCase> routings = {
+    std::vector<RoutingCase> routings = {
         {"thm3", std::make_shared<const ChannelRouteCache>(
                      ChannelRouteCache::materialize(net, yuan))},
         {"dmodk", std::make_shared<const ChannelRouteCache>(
                       ChannelRouteCache::materialize(net, dmodk))},
-        {"adaptive", make_adaptive_cache(ft, net, yuan, pattern)},
     };
-
-    json.begin_object();
-    json.member("radix", r);
-    json.member("topology", "ftree(" + std::to_string(n) + "+" +
-                                std::to_string(n * n) + ", " +
-                                std::to_string(r) + ")");
-    json.member("leafs", ft.leaf_count());
-    json.member("links", ft.link_count());
+    auto adaptive = make_adaptive_cache(ft, net, yuan, pattern);
+    report.verdict(p + "adaptive.schedule_fits", adaptive != nullptr);
+    if (adaptive) routings.push_back({"adaptive", std::move(adaptive)});
 
     // --- engine throughput: simulated cycles per wall second ----------
-    json.key("engine").begin_object();
     for (const bool vct : {false, true}) {
       nbclos::flow::FlowConfig config;
       config.injection_rate = 0.9;
@@ -197,32 +155,31 @@ int main(int argc, char** argv) {
       config.warmup_cycles = warmup;
       config.measure_cycles = measure;
       nbclos::flow::FlowResult result;
-      const double secs = best_seconds(kTimingReps, [&] {
+      const double secs = nbclos::bench::best_of(kTimingReps, [&] {
         nbclos::flow::FlowSim sim(routings[0].cache, traffic, config);
         result = sim.run();
       });
-      if (result.deadlocked) {
-        std::cerr << "unexpected deadlock on the Theorem 3 routing\n";
-        return 1;
-      }
       const double cycles = static_cast<double>(warmup + measure);
-      json.key(vct ? "vct" : "wormhole").begin_object();
-      json.member("seconds", secs);
-      json.member("cycles_per_sec", cycles / secs);
-      json.member("accepted_throughput", result.accepted_throughput);
-      json.member("min_flow_throughput", result.min_flow_throughput);
-      json.member("max_flow_throughput", result.max_flow_throughput);
-      json.member("injected_packets", result.injected_packets);
-      json.member("delivered_packets", result.delivered_packets);
-      json.member("mean_latency", result.mean_latency);
-      json.member("peak_buffer_flits", result.peak_buffer_flits);
-      json.member("deadlocked", result.deadlocked);
-      json.end_object();
+      const std::string q = p + "engine." + (vct ? "vct" : "wormhole") + ".";
+      report.verdict(q + "no_deadlock", !result.deadlocked);
+      report.metric(q + "seconds", secs, "s");
+      report.metric(q + "cycles_per_sec", cycles / secs, "cycles/s", true);
+      report.metric(q + "accepted_throughput", result.accepted_throughput,
+                    "flits/cycle/terminal");
+      report.metric(q + "min_flow_throughput", result.min_flow_throughput,
+                    "flits/cycle");
+      report.metric(q + "max_flow_throughput", result.max_flow_throughput,
+                    "flits/cycle");
+      report.metric(q + "injected_packets", result.injected_packets,
+                    "packets");
+      report.metric(q + "delivered_packets", result.delivered_packets,
+                    "packets");
+      report.metric(q + "mean_latency", result.mean_latency, "cycles");
+      report.metric(q + "peak_buffer_flits", result.peak_buffer_flits,
+                    "flits");
     }
-    json.end_object();
 
     // --- buffer margin: min flits/port for nonblocking throughput -----
-    json.key("margin").begin_object();
     for (const auto& routing : routings) {
       for (const bool vct : {false, true}) {
         nbclos::analysis::BufferMarginConfig config;
@@ -237,34 +194,32 @@ int main(int argc, char** argv) {
         config.base.seed = 42;
         const auto sweep = nbclos::analysis::buffer_margin_sweep(
             routing.cache, traffic, config, &pool);
-        json.key(std::string(routing.key) + (vct ? "_vct" : "_wormhole"))
-            .begin_object();
-        json.member("min_flits_nonblocking", sweep.min_flits_nonblocking);
-        json.key("points").begin_array();
-        for (const auto& point : sweep.points) {
-          json.begin_object();
-          json.member("buffer_flits", point.buffer_flits);
-          json.member("feasible", point.feasible);
-          json.member("sustained", point.sustained);
-          json.member("accepted_throughput", point.accepted_throughput);
-          json.member("deadlocked", point.deadlocked);
-          json.member("credit_stall_cycles", point.credit_stall_cycles);
-          json.member("peak_buffer_flits", point.peak_buffer_flits);
-          json.end_object();
+        const std::string q = p + "margin." + routing.key +
+                              (vct ? "_vct." : "_wormhole.");
+        report.metric(q + "min_flits_nonblocking",
+                      sweep.min_flits_nonblocking, "flits");
+        // The guaranteed routings must sustain the probe at some probed
+        // depth; d-mod-k's collisions are a routing defect that no
+        // depth fixes, so it carries no such verdict.
+        if (std::string(routing.key) != "dmodk") {
+          report.verdict(q + "sustains_probe",
+                         sweep.min_flits_nonblocking != 0);
         }
-        json.end_array();
-        json.end_object();
+        for (const auto& point : sweep.points) {
+          const std::string d =
+              q + "flits" + std::to_string(point.buffer_flits) + ".";
+          report.verdict(d + "no_deadlock", !point.deadlocked);
+          report.metric(d + "feasible", point.feasible ? 1 : 0, "bool");
+          report.metric(d + "sustained", point.sustained ? 1 : 0, "bool");
+          report.metric(d + "accepted_throughput", point.accepted_throughput,
+                        "flits/cycle/terminal");
+          report.metric(d + "credit_stall_cycles", point.credit_stall_cycles,
+                        "cycles");
+          report.metric(d + "peak_buffer_flits", point.peak_buffer_flits,
+                        "flits");
+        }
       }
     }
-    json.end_object();
-    json.end_object();
   }
-  json.end_array();
-
-  manifest.wall_seconds = seconds_since(wall_start);
-  json.key("manifest");
-  manifest.write_json(json);
-  json.end_object();
-  std::cout << "\n";
-  return 0;
+  return report.write(std::cout);
 }

@@ -4,13 +4,14 @@
 ///        verdict per shard count, and the early-exit bisection margins
 ///        (wormhole + VCT) on radix-32/48 fabrics and a 10-ary 4-tree.
 ///
-/// One JSON document on stdout (schema "flow_mt" in EXPERIMENTS.md).
+/// One nbclos-bench-v1 document on stdout (experiment "flow_mt"; names
+/// in EXPERIMENTS.md).
 /// For each topology case the harness:
 ///   * times serial `FlowSim` (counter injection) as the reference and
 ///     reports simulated cycles/sec;
 ///   * times `ShardedFlowSim` at 1, 2, 4, and 8 shards and compares
-///     every FlowResult field against the serial run (bit-exact,
-///     doubles included) — `identical_to_serial: false` is a
+///     the whole FlowResult against the serial run (bit-exact, doubles
+///     included) — a false `identical_to_serial` verdict is a
 ///     correctness regression and the bench exits nonzero on it, even
 ///     without the baseline gate.  `speedup_vs_serial` is reported for
 ///     measurement, never gated: CI runners may expose a single
@@ -21,13 +22,13 @@
 ///     inside the quick budget.
 /// A scale section then probes 10-ary trees with pure O(1) dmodk
 /// routing and the lazy slab arenas — bytes/terminal, slab residency,
-/// spill bytes, and cycles/sec per tree, gated against a committed
-/// budget — quick stops at 10^4 terminals, full climbs to the
+/// spill bytes, and cycles/sec per tree, with bytes/terminal held to a
+/// committed budget — quick stops at 10^4 terminals, full climbs to the
 /// 10^6-terminal 10-ary 6-tree (serial only) and reruns the margin
 /// bisection on the 10-ary 5-tree.  A final recorder_overhead section
-/// times the flight recorder live vs paused on a serial run (< 5%
-/// budget) and checks that the merged invariant time-series is
-/// bit-identical at every shard count.
+/// times the flight recorder live vs paused on a serial run (< 5% on a
+/// quiet machine, budgeted at 25%) and checks that the merged invariant
+/// time-series is bit-identical at every shard count.
 ///
 /// --quick runs the radix-32 ftree only; the full run adds radix 48 and
 /// the 10-ary 4-tree (10,000 terminals — its O(T^2) route cache honors
@@ -35,79 +36,35 @@
 /// random derangement on ftree fabrics (the pattern that separates
 /// guaranteed routings from colliding ones) and a shift permutation on
 /// the k-ary tree.  Results are seeded and bit-reproducible.
-#include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "harness.hpp"
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/flow/buffer_margin.hpp"
 #include "nbclos/flow/engine.hpp"
 #include "nbclos/flow/sharded.hpp"
 #include "nbclos/obs/flight_recorder.hpp"
-#include "nbclos/obs/run_info.hpp"
 #include "nbclos/routing/kary_updown.hpp"
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/shard_router.hpp"
 #include "nbclos/topology/fat_tree.hpp"
 #include "nbclos/topology/network.hpp"
-#include "nbclos/util/json.hpp"
 
 namespace {
 
 using namespace nbclos;
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// One untimed warm-up call, then the minimum wall time over `reps`
-/// timed calls (deterministic work; only the timing varies).
-template <typename Fn>
-double best_seconds(int reps, Fn&& fn) {
-  fn();
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const double secs = seconds_since(t0);
-    if (secs < best) best = secs;
-  }
-  return best;
-}
-
 constexpr int kTimingReps = 3;
 
-/// Every FlowResult field — the same contract the golden tests assert
-/// with EXPECT_EQ, restated as one predicate for the bench verdict.
-bool identical(const flow::FlowResult& a, const flow::FlowResult& b) {
-  return a.offered_load == b.offered_load &&
-         a.accepted_throughput == b.accepted_throughput &&
-         a.mean_latency == b.mean_latency && a.p50_latency == b.p50_latency &&
-         a.p99_latency == b.p99_latency && a.p999_latency == b.p999_latency &&
-         a.latency_bucket_width == b.latency_bucket_width &&
-         a.injected_packets == b.injected_packets &&
-         a.delivered_packets == b.delivered_packets &&
-         a.dropped_packets == b.dropped_packets &&
-         a.mean_switch_queue_depth == b.mean_switch_queue_depth &&
-         a.min_flow_throughput == b.min_flow_throughput &&
-         a.max_flow_throughput == b.max_flow_throughput &&
-         a.credit_stall_cycles == b.credit_stall_cycles &&
-         a.vc_stall_cycles == b.vc_stall_cycles &&
-         a.mean_stall_cycles == b.mean_stall_cycles &&
-         a.p99_stall_cycles == b.p99_stall_cycles &&
-         a.peak_buffer_flits == b.peak_buffer_flits &&
-         a.peak_live_packets == b.peak_live_packets &&
-         a.deadlocked == b.deadlocked &&
-         a.deadlock_cycle == b.deadlock_cycle &&
-         a.stuck_flits == b.stuck_flits;
-}
+// The acceptance budget for the flight recorder is < 5% on a quiet
+// machine; the gated limit is looser because CI runners time noisily.
+// The identity verdicts, in contrast, are exact.
+constexpr double kRecorderOverheadCapPct = 25.0;
 
 struct Case {
   std::string name;
@@ -121,21 +78,19 @@ struct Case {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--quick") quick = true;
-  }
+  const auto args = bench::parse_args(argc, argv);
 
-  const auto wall_start = std::chrono::steady_clock::now();
-  auto manifest = obs::RunInfo::current();
-  manifest.seed = 20260809;
-  manifest.threads = 8;  // widest shard fan-out benched
-  manifest.shards = 8;
+  bench::Report report("flow_mt");
+  report.manifest().seed = 20260809;
+  report.manifest().threads = 8;  // widest shard fan-out benched
+  report.manifest().shards = 8;
+  const std::uint64_t seed = report.manifest().seed;
+  report.param("quick", args.quick);
 
   std::vector<Case> cases;
   cases.push_back({"ftree(4+16,32)", 32, 0, 0, 200, 800, 0.9,
                    {1, 2, 4, 8, 16}});
-  if (!quick) {
+  if (!args.quick) {
     cases.push_back({"ftree(4+16,48)", 48, 0, 0, 300, 1200, 0.9,
                      {1, 2, 4, 8, 16}});
     // 10-ary 4-tree: 10,000 terminals at low load — the point is shard
@@ -144,15 +99,6 @@ int main(int argc, char** argv) {
   }
   const std::vector<std::uint32_t> shard_counts = {1, 2, 4, 8};
 
-  JsonWriter json(std::cout);
-  json.begin_object();
-  json.member("experiment", "flow_mt");
-  json.member("quick", quick);
-  json.member("hardware_concurrency",
-              static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-
-  bool all_identical = true;
-  json.key("cases").begin_array();
   for (const auto& c : cases) {
     const bool is_ftree = c.ftree_r > 0;
     std::unique_ptr<FoldedClos> ftree;
@@ -199,71 +145,66 @@ int main(int argc, char** argv) {
     config.buffer_flits = 8;
     config.warmup_cycles = c.warmup;
     config.measure_cycles = c.measure;
-    config.seed = manifest.seed;
+    config.seed = seed;
     config.counter_injection = true;
     const double total_cycles = static_cast<double>(c.warmup + c.measure);
 
-    json.begin_object();
-    json.member("topology", c.name);
-    json.member("radix", c.ftree_r);
-    json.member("terminals", terminals);
-    json.member("channels", static_cast<std::uint64_t>(net.channel_count()));
-    json.member("injection_rate", c.rate);
-    json.member("warmup_cycles", c.warmup);
-    json.member("measure_cycles", c.measure);
-    json.member("route_cache_bytes",
-                static_cast<std::uint64_t>(cache->bytes()));
+    const std::string p = c.name + ".";
+    report.param(p + "radix", c.ftree_r);
+    report.param(p + "terminals", terminals);
+    report.param(p + "channels", net.channel_count());
+    report.param(p + "injection_rate", c.rate);
+    report.param(p + "warmup_cycles", c.warmup);
+    report.param(p + "measure_cycles", c.measure);
+    report.metric(p + "route_cache_bytes", cache->bytes(), "bytes");
 
     // --- serial reference: the identity baseline and the speedup denom.
     flow::FlowResult serial{};
-    const double serial_secs = best_seconds(kTimingReps, [&] {
+    const double serial_secs = bench::best_of(kTimingReps, [&] {
       flow::FlowSim sim(cache, traffic, config);
       serial = sim.run();
     });
-    json.key("serial").begin_object();
-    json.member("seconds", serial_secs);
-    json.member("cycles_per_sec", total_cycles / serial_secs);
-    json.member("accepted_throughput", serial.accepted_throughput);
-    json.member("delivered_packets", serial.delivered_packets);
-    json.member("deadlocked", serial.deadlocked);
-    json.end_object();
+    report.verdict(p + "serial.no_deadlock", !serial.deadlocked);
+    report.metric(p + "serial.seconds", serial_secs, "s");
+    report.metric(p + "serial.cycles_per_sec", total_cycles / serial_secs,
+                  "cycles/s", true);
+    report.metric(p + "serial.accepted_throughput",
+                  serial.accepted_throughput, "flits/cycle/terminal");
+    report.metric(p + "serial.delivered_packets", serial.delivered_packets,
+                  "packets");
 
-    json.key("shard_counts").begin_array();
     for (const auto shards : shard_counts) {
       flow::FlowResult result{};
       flow::ShardedFlowSim::Telemetry telemetry{};
       std::size_t arena_bytes = 0;
-      const double secs = best_seconds(kTimingReps, [&] {
+      const double secs = bench::best_of(kTimingReps, [&] {
         flow::ShardedFlowSim sim(cache, traffic, config, shards);
         result = sim.run();
         telemetry = sim.telemetry();
         arena_bytes = sim.arena_bytes();
       });
-      const bool same = identical(result, serial);
-      if (!same) {
-        std::cerr << c.name << " at " << shards
-                  << " shards diverged from the serial FlowSim run\n";
-        all_identical = false;
-      }
-      json.begin_object();
-      json.member("shards", static_cast<std::uint64_t>(shards));
-      json.member("seconds", secs);
-      json.member("cycles_per_sec", total_cycles / secs);
-      json.member("speedup_vs_serial", serial_secs / secs);
-      json.member("arena_bytes", static_cast<std::uint64_t>(arena_bytes));
-      json.member("cross_shard_flits", telemetry.cross_shard_flits);
-      json.member("cross_shard_credits", telemetry.cross_shard_credits);
-      json.member("mailbox_peak", telemetry.mailbox_peak);
-      json.member("accepted_throughput", result.accepted_throughput);
-      json.member("delivered_packets", result.delivered_packets);
-      json.member("peak_buffer_flits", result.peak_buffer_flits);
-      json.member("identical_to_serial", same);
-      json.end_object();
+      const std::string q = p + "shards" + std::to_string(shards) + ".";
+      report.verdict(q + "identical_to_serial", result == serial);
+      report.metric(q + "seconds", secs, "s");
+      report.metric(q + "cycles_per_sec", total_cycles / secs, "cycles/s",
+                    true);
+      report.metric(q + "speedup_vs_serial", serial_secs / secs, "ratio");
+      report.metric(q + "arena_bytes", arena_bytes, "bytes");
+      report.metric(q + "cross_shard_flits", telemetry.cross_shard_flits,
+                    "flits");
+      report.metric(q + "cross_shard_credits", telemetry.cross_shard_credits,
+                    "credits");
+      report.metric(q + "mailbox_peak", telemetry.mailbox_peak, "entries");
+      report.metric(q + "accepted_throughput", result.accepted_throughput,
+                    "flits/cycle/terminal");
+      report.metric(q + "delivered_packets", result.delivered_packets,
+                    "packets");
+      report.metric(q + "peak_buffer_flits", result.peak_buffer_flits,
+                    "flits");
     }
-    json.end_array();
 
     // --- buffer margin past radix 16: O(log N) sharded bisection ------
-    json.key("margin").begin_object();
+    report.param(p + "margin.shards", 8);
     for (const bool vct : {false, true}) {
       analysis::BufferMarginConfig margin;
       margin.buffer_sizes = c.depths;
@@ -273,36 +214,30 @@ int main(int argc, char** argv) {
                                   : flow::Switching::kWormhole;
       const auto bisect =
           analysis::buffer_margin_bisect(cache, traffic, margin, 8);
-      json.key(vct ? "vct" : "wormhole").begin_object();
-      json.member("min_flits_nonblocking", bisect.min_flits_nonblocking);
-      json.member("probes",
-                  static_cast<std::uint64_t>(bisect.points.size()));
-      json.key("points").begin_array();
+      const std::string q = p + "margin." + (vct ? "vct." : "wormhole.");
+      report.verdict(q + "sustains_probe", bisect.min_flits_nonblocking != 0);
+      report.metric(q + "min_flits_nonblocking", bisect.min_flits_nonblocking,
+                    "flits");
+      report.metric(q + "probes", bisect.points.size(), "probes");
       for (const auto& point : bisect.points) {
-        json.begin_object();
-        json.member("buffer_flits", point.buffer_flits);
-        json.member("feasible", point.feasible);
-        json.member("sustained", point.sustained);
-        json.member("accepted_throughput", point.accepted_throughput);
-        json.member("deadlocked", point.deadlocked);
-        json.member("peak_buffer_flits", point.peak_buffer_flits);
-        json.end_object();
+        const std::string d =
+            q + "flits" + std::to_string(point.buffer_flits) + ".";
+        report.verdict(d + "no_deadlock", !point.deadlocked);
+        report.metric(d + "feasible", point.feasible ? 1 : 0, "bool");
+        report.metric(d + "sustained", point.sustained ? 1 : 0, "bool");
+        report.metric(d + "accepted_throughput", point.accepted_throughput,
+                      "flits/cycle/terminal");
+        report.metric(d + "peak_buffer_flits", point.peak_buffer_flits,
+                      "flits");
       }
-      json.end_array();
-      json.end_object();
     }
-    json.member("shards", std::uint64_t{8});
-    json.end_object();
-
-    json.member("peak_rss_kb", obs::peak_rss_kb());
-    json.end_object();
+    report.metric(p + "peak_rss_kb", obs::peak_rss_kb(), "KiB");
   }
-  json.end_array();
 
   // --- flow-level scale-out: sparse arenas on 10-ary trees -------------
   // Pure O(1) dmodk routing (no per-pair table) plus the lazy slab
   // arenas are what let a 10^6-terminal fabric run at all; this section
-  // records bytes/terminal, slab residency, and cycles/sec so the gate
+  // records bytes/terminal, slab residency, and cycles/sec so the budget
   // catches a densification regression.  Short low-load windows — the
   // point is memory shape, not saturation behavior.
   {
@@ -314,21 +249,18 @@ int main(int argc, char** argv) {
       bool identity;  ///< also run ShardedFlowSim(4) and compare
     };
     std::vector<ScalePoint> points = {{10, 3, true}, {10, 4, true}};
-    if (!quick) {
+    if (!args.quick) {
       points.push_back({10, 5, true});
       points.push_back({10, 6, false});  // serial only: memory headroom
     }
-    json.key("scale").begin_object();
-    json.member("budget_bytes_per_terminal", kScaleBudgetBytesPerTerminal);
-    json.key("points").begin_array();
-    for (const auto& p : points) {
-      const Network net = build_kary_ntree(p.k, p.h);
+    for (const auto& pt : points) {
+      const Network net = build_kary_ntree(pt.k, pt.h);
       const auto terminals =
           static_cast<std::uint32_t>(net.terminals().size());
       const auto routes =
           std::make_shared<const flow::PureRouteSource>(
-              net, std::make_shared<const sim::KaryDmodkRouter>(net, p.k,
-                                                                p.h));
+              net, std::make_shared<const sim::KaryDmodkRouter>(net, pt.k,
+                                                                pt.h));
       const auto traffic = sim::TrafficPattern::permutation(
           shift_permutation(terminals, 7), terminals);
       flow::FlowConfig config;
@@ -337,7 +269,7 @@ int main(int argc, char** argv) {
       config.buffer_flits = 8;
       config.warmup_cycles = 20;
       config.measure_cycles = 80;
-      config.seed = manifest.seed;
+      config.seed = seed;
       config.counter_injection = true;
       const double total_cycles =
           static_cast<double>(config.warmup_cycles + config.measure_cycles);
@@ -346,68 +278,48 @@ int main(int argc, char** argv) {
       // best-of-3, and the memory numbers are deterministic anyway.
       flow::FlowResult serial{};
       flow::ArenaStats stats{};
-      const auto t0 = std::chrono::steady_clock::now();
+      const bench::Timer timer;
       {
         flow::FlowSim sim(routes, traffic, config);
         serial = sim.run();
         stats = sim.arena_stats();
       }
-      const double secs = seconds_since(t0);
+      const double secs = timer.seconds();
       const double bytes_per_terminal =
           static_cast<double>(stats.flit_arena_bytes +
                               stats.packet_arena_bytes) /
           static_cast<double>(terminals);
-      const bool within =
-          bytes_per_terminal <= kScaleBudgetBytesPerTerminal;
-      if (!within) {
-        std::cerr << "kary(" << p.k << "," << p.h << ") arenas at "
-                  << bytes_per_terminal
-                  << " bytes/terminal exceed the committed budget\n";
-        all_identical = false;
-      }
-      bool same = true;
-      if (p.identity) {
+      const std::string p = "scale.kary(" + std::to_string(pt.k) + "," +
+                            std::to_string(pt.h) + ").";
+      report.budget(p + "bytes_per_terminal", bytes_per_terminal,
+                    kScaleBudgetBytesPerTerminal);
+      report.verdict(p + "no_deadlock", !serial.deadlocked);
+      if (pt.identity) {
         flow::ShardedFlowSim sharded(routes, traffic, config, 4);
-        same = identical(sharded.run(), serial);
-        if (!same) {
-          std::cerr << "kary(" << p.k << "," << p.h
-                    << ") sharded run diverged from serial at scale\n";
-          all_identical = false;
-        }
+        report.verdict(p + "identical_to_serial", sharded.run() == serial);
       }
-      json.begin_object();
-      json.member("topology", "kary(" + std::to_string(p.k) + "," +
-                                  std::to_string(p.h) + ")");
-      json.member("terminals", terminals);
-      json.member("channels",
-                  static_cast<std::uint64_t>(net.channel_count()));
-      json.member("route_source", routes->label());
-      json.member("route_bytes", static_cast<std::uint64_t>(routes->bytes()));
-      json.member("seconds", secs);
-      json.member("cycles_per_sec", total_cycles / secs);
-      json.member("delivered_packets", serial.delivered_packets);
-      json.member("deadlocked", serial.deadlocked);
-      json.member("flit_arena_bytes",
-                  static_cast<std::uint64_t>(stats.flit_arena_bytes));
-      json.member("packet_arena_bytes",
-                  static_cast<std::uint64_t>(stats.packet_arena_bytes));
-      json.member("bytes_per_terminal", bytes_per_terminal);
-      json.member("resident_slots", stats.resident_slots);
-      json.member("peak_slots", stats.peak_slots);
-      json.member("spill_bytes",
-                  static_cast<std::uint64_t>(stats.spill_bytes));
-      json.member("within_budget", within);
-      json.member("identity_checked", p.identity);
-      json.member("identical_to_serial", same);
-      json.member("peak_rss_kb", obs::peak_rss_kb());
-      json.end_object();
+      report.param(p + "terminals", terminals);
+      report.param(p + "channels", net.channel_count());
+      report.param(p + "route_source", routes->label());
+      report.metric(p + "route_bytes", routes->bytes(), "bytes");
+      report.metric(p + "seconds", secs, "s");
+      report.metric(p + "cycles_per_sec", total_cycles / secs, "cycles/s",
+                    true);
+      report.metric(p + "delivered_packets", serial.delivered_packets,
+                    "packets");
+      report.metric(p + "flit_arena_bytes", stats.flit_arena_bytes, "bytes");
+      report.metric(p + "packet_arena_bytes", stats.packet_arena_bytes,
+                    "bytes");
+      report.metric(p + "resident_slots", stats.resident_slots, "slots");
+      report.metric(p + "peak_slots", stats.peak_slots, "slots");
+      report.metric(p + "spill_bytes", stats.spill_bytes, "bytes");
+      report.metric(p + "peak_rss_kb", obs::peak_rss_kb(), "KiB");
     }
-    json.end_array();
 
     // Margin bisection rerun at the new scale: the 10-ary 5-tree margin
     // via sharded probes over the pure route source (full mode only —
     // each probe is a 10^5-terminal run).
-    if (!quick) {
+    if (!args.quick) {
       const std::uint32_t k = 10, h = 5;
       const Network net = build_kary_ntree(k, h);
       const auto terminals =
@@ -422,22 +334,21 @@ int main(int argc, char** argv) {
       margin.base.packet_flits = 4;
       margin.base.warmup_cycles = 20;
       margin.base.measure_cycles = 80;
-      margin.base.seed = manifest.seed;
+      margin.base.seed = seed;
       const auto bisect =
           analysis::buffer_margin_bisect(routes, traffic, margin, 4);
-      json.key("margin_kary_10_5").begin_object();
-      json.member("min_flits_nonblocking", bisect.min_flits_nonblocking);
-      json.member("probes", static_cast<std::uint64_t>(bisect.points.size()));
-      json.end_object();
+      report.metric("scale.margin_kary_10_5.min_flits_nonblocking",
+                    bisect.min_flits_nonblocking, "flits");
+      report.metric("scale.margin_kary_10_5.probes", bisect.points.size(),
+                    "probes");
     }
-    json.end_object();
   }
 
   // --- flight-recorder overhead and shard-count series identity --------
   // Serial FlowSim with the recorder armed, sampling live vs paused via
-  // the runtime switch (budget < 5%), then the sharded engine at every
-  // shard count checking the merged invariant series against serial bit
-  // for bit — the time-series analogue of identical_to_serial above.
+  // the runtime switch, then the sharded engine at every shard count
+  // checking the merged invariant series against serial bit for bit —
+  // the time-series analogue of identical_to_serial above.
   {
     const FoldedClos ftree(FtreeParams{4, 16, 16});
     const Network net = build_network(ftree);
@@ -452,8 +363,8 @@ int main(int argc, char** argv) {
     config.packet_flits = 4;
     config.buffer_flits = 8;
     config.warmup_cycles = 200;
-    config.measure_cycles = quick ? 800 : 4000;
-    config.seed = manifest.seed;
+    config.measure_cycles = args.quick ? 800 : 4000;
+    config.seed = seed;
     config.counter_injection = true;
     config.record_timeseries = true;
     config.record_cadence = 32;
@@ -471,29 +382,28 @@ int main(int argc, char** argv) {
       }
     };
     obs::set_enabled(true);
-    const double on_secs = best_seconds(kTimingReps, run_serial);
+    const double on_secs = bench::best_of(kTimingReps, run_serial);
     const auto on_result = serial;
     std::size_t points = 0;
     for (const auto& series : serial_series) points += series.points.size();
     const auto golden = serial_series;
     obs::set_enabled(false);  // want() goes false: sampling pauses
-    const double off_secs = best_seconds(kTimingReps, run_serial);
+    const double off_secs = bench::best_of(kTimingReps, run_serial);
     obs::set_enabled(true);
-    const bool same_result = identical(on_result, serial);
-    if (!same_result) {
-      std::cerr << "recorder on/off changed the flow engine result\n";
-      all_identical = false;
-    }
+    const double overhead_pct = (on_secs / off_secs - 1.0) * 100.0;
 
-    json.key("recorder_overhead").begin_object();
-    json.member("compiled_in", obs::kEnabled);
-    json.member("cycles", config.warmup_cycles + config.measure_cycles);
-    json.member("enabled_seconds", on_secs);
-    json.member("paused_seconds", off_secs);
-    json.member("overhead_pct", (on_secs / off_secs - 1.0) * 100.0);
-    json.member("points_recorded", static_cast<std::uint64_t>(points));
-    json.member("results_identical", same_result);
-    json.key("series_identity").begin_array();
+    const std::string p = "recorder_overhead.";
+    report.param(p + "compiled_in", obs::kEnabled);
+    report.param(p + "cycles", config.warmup_cycles + config.measure_cycles);
+    report.verdict(p + "results_identical", on_result == serial);
+    report.metric(p + "enabled_seconds", on_secs, "s");
+    report.metric(p + "paused_seconds", off_secs, "s");
+    report.metric(p + "overhead_pct", overhead_pct, "%");
+    report.metric(p + "points_recorded", points, "points");
+    if (obs::kEnabled) {
+      report.budget(p + "overhead_pct", overhead_pct,
+                    kRecorderOverheadCapPct);
+    }
     for (const auto shards : shard_counts) {
       flow::ShardedFlowSim sim(cache, traffic, config, shards);
       const auto result = sim.run();
@@ -503,32 +413,16 @@ int main(int argc, char** argv) {
           got.push_back(std::move(series));
         }
       }
-      bool same_series = identical(result, on_result) &&
-                         got.size() == golden.size();
+      bool same_series = result == on_result && got.size() == golden.size();
       for (std::size_t i = 0; same_series && i < golden.size(); ++i) {
         same_series = got[i].name == golden[i].name &&
                       got[i].stride_cycles == golden[i].stride_cycles &&
                       got[i].points == golden[i].points;
       }
-      if (!same_series) {
-        std::cerr << "merged time-series diverged at " << shards
-                  << " shards\n";
-        all_identical = false;
-      }
-      json.begin_object();
-      json.member("shards", static_cast<std::uint64_t>(shards));
-      json.member("identical_to_serial", same_series);
-      json.end_object();
+      report.verdict(p + "shards" + std::to_string(shards) +
+                         ".series_identical",
+                     same_series);
     }
-    json.end_array();
-    json.end_object();
   }
-
-  manifest.wall_seconds = seconds_since(wall_start);
-  manifest.peak_rss_kb = obs::peak_rss_kb();
-  json.key("manifest");
-  manifest.write_json(json);
-  json.end_object();
-  std::cout << "\n";
-  return all_identical ? 0 : 1;
+  return report.write(std::cout);
 }

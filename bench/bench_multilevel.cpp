@@ -8,10 +8,10 @@
 /// instance — the paper's induction claim, machine-checked), and sample
 /// random permutations.  A final packet-simulation row shows the 3-level
 /// fabric sustaining a full permutation at load 1.0.
-#include <chrono>
 #include <iostream>
 #include <string>
 
+#include "harness.hpp"
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/core/multilevel.hpp"
 #include "nbclos/sim/engine.hpp"
@@ -32,11 +32,9 @@ int main(int argc, char** argv) {
            {2, 2}, {3, 2}, {4, 2}, {2, 3}, {3, 3}, {2, 4}}) {
     const nbclos::MultiLevelFabric fabric(n, levels);
     const auto design = fabric.design();
-    const auto start = std::chrono::steady_clock::now();
+    const nbclos::bench::Timer timer;
     const bool certified = fabric.certify();
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+    const double secs = timer.seconds();
     const bool random_ok = fabric.verify_random(20, 1234);
     all_ok = all_ok && certified && random_ok &&
              fabric.switch_count() == design.switches;

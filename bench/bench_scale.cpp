@@ -3,13 +3,13 @@
 ///        verification throughput, and memory footprint across radix
 ///        8 / 16 / 32 / 48 fabrics.
 ///
-/// One JSON document on stdout (schema in EXPERIMENTS.md).  For each
-/// radix the harness measures, on the nonblocking ftree(n + n^2, r)
-/// instance:
+/// One nbclos-bench-v1 document on stdout (names in EXPERIMENTS.md).
+/// For each radix the harness measures, on the nonblocking
+/// ftree(n + n^2, r) instance:
 ///   * route_cache — RouteCache::materialize wall time, routes/sec, and
 ///     the flat-arena byte footprint;
 ///   * verify_random — batched verify_random_parallel (BatchLoadKernel)
-///     permutations/sec, with the nonblocking verdict asserted;
+///     permutations/sec, with the nonblocking verdict;
 ///   * load_probe — batched estimate_blocking_parallel under d-mod-k
 ///     (the blocking baseline), permutations/sec;
 ///   * cache_hit_rate — obs route_cache.lookups /
@@ -19,46 +19,22 @@
 ///   * peak_rss_kb — getrusage high-water mark after the case ran.
 /// Results are seeded and bit-reproducible at any thread count (the
 /// drivers chunk deterministically); timings warm up once and report the
-/// best of three repetitions.  Pass --quick for CI smoke budgets,
+/// best of five repetitions.  Pass --quick for CI smoke budgets,
 /// --threads <T> to cap the worker pool.
-#include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "harness.hpp"
 #include "nbclos/analysis/batch.hpp"
 #include "nbclos/analysis/parallel.hpp"
 #include "nbclos/obs/metrics.hpp"
-#include "nbclos/obs/run_info.hpp"
 #include "nbclos/routing/baselines.hpp"
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
-#include "nbclos/util/json.hpp"
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// One untimed warm-up call, then the minimum wall time over `reps`
-/// timed calls (deterministic work; only the timing varies).
-template <typename Fn>
-double best_seconds(int reps, Fn&& fn) {
-  fn();
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const double secs = seconds_since(t0);
-    if (secs < best) best = secs;
-  }
-  return best;
-}
 
 // Best-of-5: the scale cases are short (milliseconds), so extra
 // repetitions are cheap and squeeze out scheduler noise that best-of-3
@@ -68,43 +44,28 @@ constexpr int kTimingReps = 5;
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::size_t max_threads = 8;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") quick = true;
-    if (arg == "--threads" && i + 1 < argc) {
-      max_threads = std::stoull(argv[i + 1]);
-    }
-  }
+  const auto args = nbclos::bench::parse_args(argc, argv);
+  const std::size_t max_threads = args.threads.value_or(8);
 
-  const auto wall_start = std::chrono::steady_clock::now();
-  auto manifest = nbclos::obs::RunInfo::current();
-  manifest.seed = 42;
-  manifest.threads = static_cast<std::uint32_t>(max_threads);
+  nbclos::bench::Report report("scale");
+  report.manifest().seed = 42;
+  report.manifest().threads = static_cast<std::uint32_t>(max_threads);
   nbclos::ThreadPool pool(max_threads);
 
   // Quick budgets stay large enough that the smallest case's timed
   // sections run for milliseconds — sub-millisecond sections make the
   // regression comparison scheduler-noise-bound.
-  const std::uint64_t verify_trials = quick ? 4000 : 20000;
-  const std::uint64_t probe_trials = quick ? 4000 : 20000;
-
-  nbclos::JsonWriter json(std::cout);
-  json.begin_object();
-  json.member("experiment", "scale");
-  json.member("quick", quick);
-  json.member("hardware_concurrency",
-              static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-  json.member("verify_trials", verify_trials);
-  json.member("probe_trials", probe_trials);
+  const std::uint64_t verify_trials = args.quick ? 4000 : 20000;
+  const std::uint64_t probe_trials = args.quick ? 4000 : 20000;
+  report.param("quick", args.quick);
+  report.param("verify_trials", verify_trials);
+  report.param("probe_trials", probe_trials);
 
   struct Case {
     std::uint32_t n, r;
   };
   const std::vector<Case> cases = {{4, 8}, {4, 16}, {8, 32}, {8, 48}};
 
-  json.key("cases").begin_array();
   for (const auto c : cases) {
     const nbclos::FoldedClos ftree(nbclos::FtreeParams{c.n, c.n * c.n, c.r});
     const nbclos::YuanNonblockingRouting yuan(ftree);
@@ -115,17 +76,16 @@ int main(int argc, char** argv) {
     const auto routed_before =
         metrics.counter("route_cache.routes_materialized").value();
 
-    json.begin_object();
-    json.member("radix", c.r);
-    json.member("topology", "ftree(" + std::to_string(c.n) + "+" +
-                                std::to_string(c.n * c.n) + ", " +
-                                std::to_string(c.r) + ")");
-    json.member("leafs", ftree.leaf_count());
-    json.member("links", ftree.link_count());
+    const std::string p = "radix" + std::to_string(c.r) + ".";
+    report.param(p + "topology", "ftree(" + std::to_string(c.n) + "+" +
+                                     std::to_string(c.n * c.n) + ", " +
+                                     std::to_string(c.r) + ")");
+    report.param(p + "leafs", ftree.leaf_count());
+    report.param(p + "links", ftree.link_count());
 
     // --- route-cache build rate and footprint -------------------------
     {
-      const double secs = best_seconds(kTimingReps, [&] {
+      const double secs = nbclos::bench::best_of(kTimingReps, [&] {
         const auto cache = nbclos::routing::RouteCache::materialize(yuan);
         if (cache.any_unroutable()) std::abort();  // impossible: healthy
       });
@@ -133,52 +93,44 @@ int main(int argc, char** argv) {
       const auto routes =
           cache.pair_count() - ftree.leaf_count();  // diagonal is empty
       const nbclos::analysis::BatchLoadKernel kernel(cache);
-      json.key("route_cache").begin_object();
-      json.member("build_seconds", secs);
-      json.member("routes_materialized", routes);
-      json.member("routes_per_sec", static_cast<double>(routes) / secs);
-      json.member("cache_bytes", static_cast<std::uint64_t>(cache.bytes()));
-      json.member("kernel_arena_bytes",
-                  static_cast<std::uint64_t>(kernel.bytes()));
-      json.end_object();
+      report.metric(p + "route_cache.build_seconds", secs, "s");
+      report.metric(p + "route_cache.routes_materialized", routes, "routes");
+      report.metric(p + "route_cache.routes_per_sec",
+                    static_cast<double>(routes) / secs, "routes/s", true);
+      report.metric(p + "route_cache.cache_bytes", cache.bytes(), "bytes");
+      report.metric(p + "route_cache.kernel_arena_bytes", kernel.bytes(),
+                    "bytes");
     }
 
     // --- batched randomized verification (nonblocking instance) -------
     {
       nbclos::VerifyResult result;
-      const double secs = best_seconds(kTimingReps, [&] {
+      const double secs = nbclos::bench::best_of(kTimingReps, [&] {
         result = nbclos::verify_random_parallel(ftree, yuan, verify_trials,
                                                 42, pool);
       });
-      if (!result.nonblocking) {
-        std::cerr << "Yuan routing must verify nonblocking at radix " << c.r
-                  << "\n";
-        return 1;
-      }
-      json.key("verify_random").begin_object();
-      json.member("routing", yuan.name());
-      json.member("nonblocking", result.nonblocking);
-      json.member("seconds", secs);
-      json.member("perms_per_sec",
-                  static_cast<double>(result.permutations_checked) / secs);
-      json.end_object();
+      report.verdict(p + "verify_random.nonblocking", result.nonblocking);
+      report.metric(p + "verify_random.seconds", secs, "s");
+      report.metric(p + "verify_random.perms_per_sec",
+                    static_cast<double>(result.permutations_checked) / secs,
+                    "perms/s", true);
     }
 
     // --- batched load-sweep probe (blocking baseline) ------------------
     {
       nbclos::BlockingEstimate estimate;
-      const double secs = best_seconds(kTimingReps, [&] {
+      const double secs = nbclos::bench::best_of(kTimingReps, [&] {
         estimate = nbclos::estimate_blocking_parallel(ftree, dmodk,
                                                       probe_trials, 42, pool);
       });
-      json.key("load_probe").begin_object();
-      json.member("routing", "d-mod-k");
-      json.member("blocking_probability", estimate.blocking_probability);
-      json.member("mean_colliding_pairs", estimate.mean_colliding_pairs);
-      json.member("seconds", secs);
-      json.member("perms_per_sec",
-                  static_cast<double>(estimate.trials) / secs);
-      json.end_object();
+      report.metric(p + "load_probe.blocking_probability",
+                    estimate.blocking_probability, "ratio");
+      report.metric(p + "load_probe.mean_colliding_pairs",
+                    estimate.mean_colliding_pairs, "pairs");
+      report.metric(p + "load_probe.seconds", secs, "s");
+      report.metric(p + "load_probe.perms_per_sec",
+                    static_cast<double>(estimate.trials) / secs, "perms/s",
+                    true);
     }
 
     // --- cache effectiveness over this case's work ---------------------
@@ -187,25 +139,14 @@ int main(int argc, char** argv) {
     const auto routed =
         metrics.counter("route_cache.routes_materialized").value() -
         routed_before;
-    json.member("cache_lookups", lookups);
-    json.member("cache_hit_rate",
-                lookups + routed > 0
-                    ? static_cast<double>(lookups) /
-                          static_cast<double>(lookups + routed)
-                    : 0.0);
-    json.member("peak_rss_kb", nbclos::obs::peak_rss_kb());
-    json.end_object();
+    report.metric(p + "cache_lookups", lookups, "lookups");
+    report.metric(p + "cache_hit_rate",
+                  lookups + routed > 0
+                      ? static_cast<double>(lookups) /
+                            static_cast<double>(lookups + routed)
+                      : 0.0,
+                  "ratio");
+    report.metric(p + "peak_rss_kb", nbclos::obs::peak_rss_kb(), "KiB");
   }
-  json.end_array();
-
-  manifest.wall_seconds = seconds_since(wall_start);
-  // Sample the manifest's RSS high-water mark *after* every case's
-  // caches and kernel arenas have been built — sampling at startup
-  // under-reported by the size of everything the bench allocated.
-  manifest.peak_rss_kb = nbclos::obs::peak_rss_kb();
-  json.key("manifest");
-  manifest.write_json(json);
-  json.end_object();
-  std::cout << "\n";
-  return 0;
+  return report.write(std::cout);
 }

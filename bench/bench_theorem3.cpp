@@ -4,24 +4,14 @@
 ///        can: exhaustive enumeration on tiny instances, heavy random
 ///        sampling, adversarial hill-climbing, and the Lemma 1 audit at
 ///        Table I scale — then reports verification throughput.
-#include <chrono>
 #include <iostream>
 #include <string>
 
+#include "harness.hpp"
 #include "nbclos/analysis/contention.hpp"
 #include "nbclos/analysis/verifier.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/util/table.hpp"
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const bool csv = argc > 1 && std::string(argv[1]) == "--csv";
@@ -37,14 +27,14 @@ int main(int argc, char** argv) {
        std::vector<std::pair<std::uint32_t, std::uint32_t>>{{2, 3}, {2, 4}}) {
     const nbclos::FoldedClos ft(nbclos::FtreeParams{n, n * n, r});
     const nbclos::YuanNonblockingRouting routing(ft);
-    const auto start = std::chrono::steady_clock::now();
+    const nbclos::bench::Timer timer;
     const auto result =
         nbclos::verify_exhaustive(ft, nbclos::as_pattern_router(routing));
     all_clean = all_clean && result.nonblocking;
     table.add(n, r, ft.leaf_count(), std::string("exhaustive"),
               result.permutations_checked,
               std::string(result.nonblocking ? "none" : "YES"),
-              seconds_since(start));
+              timer.seconds());
   }
 
   // Random + adversarial at growing scale.
@@ -55,17 +45,17 @@ int main(int argc, char** argv) {
     const nbclos::YuanNonblockingRouting routing(ft);
     {
       nbclos::Xoshiro256 rng(2026);
-      const auto start = std::chrono::steady_clock::now();
+      const nbclos::bench::Timer timer;
       const auto result = nbclos::verify_random(
           ft, nbclos::as_pattern_router(routing), 2000, rng);
       all_clean = all_clean && result.nonblocking;
       table.add(n, r, ft.leaf_count(), std::string("random"),
                 result.permutations_checked,
                 std::string(result.nonblocking ? "none" : "YES"),
-                seconds_since(start));
+                timer.seconds());
     }
     {
-      const auto start = std::chrono::steady_clock::now();
+      const nbclos::bench::Timer timer;
       const auto result = nbclos::verify_adversarial(
           ft, nbclos::as_pattern_router(routing),
           nbclos::AdversarialOptions{4, 500}, 9);
@@ -73,7 +63,7 @@ int main(int argc, char** argv) {
       table.add(n, r, ft.leaf_count(), std::string("adversarial"),
                 result.permutations_checked,
                 std::string(result.nonblocking ? "none" : "YES"),
-                seconds_since(start));
+                timer.seconds());
     }
   }
 
@@ -82,12 +72,12 @@ int main(int argc, char** argv) {
     const std::uint32_t r = n + n * n;
     const nbclos::FoldedClos ft(nbclos::FtreeParams{n, n * n, r});
     const nbclos::YuanNonblockingRouting routing(ft);
-    const auto start = std::chrono::steady_clock::now();
+    const nbclos::bench::Timer timer;
     const bool ok = nbclos::is_nonblocking_single_path(routing);
     all_clean = all_clean && ok;
     table.add(n, r, ft.leaf_count(), std::string("lemma-1 audit"),
               ft.cross_pair_count(), std::string(ok ? "none" : "YES"),
-              seconds_since(start));
+              timer.seconds());
   }
 
   table.print(std::cout);

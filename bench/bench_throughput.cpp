@@ -17,20 +17,17 @@
 /// All (series x load) runs of a pattern execute concurrently over a
 /// ThreadPool through the OracleFactory load_sweep, with per-run seeds —
 /// output is identical at any thread count.  Flags: --csv appends CSV
-/// blocks, --json emits a single JSON document instead of tables,
+/// blocks, --json emits one nbclos-bench-v1 document instead of tables,
 /// --quick shrinks the simulated window (CI smoke runs).
-#include <chrono>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "nbclos/analysis/permutations.hpp"
-#include "nbclos/obs/run_info.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/engine.hpp"
-#include "nbclos/util/json.hpp"
 #include "nbclos/util/table.hpp"
 
 namespace {
@@ -88,14 +85,10 @@ nbclos::Permutation funnel_mod16() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool csv = false;
-  bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--csv") csv = true;
-    if (flag == "--json") json = true;
-    if (flag == "--quick") quick = true;
-  }
+  const auto args = nbclos::bench::parse_args(argc, argv);
+  const bool csv = args.csv;
+  const bool json = args.json;
+  quick = args.quick;
 
   constexpr std::uint32_t kN = 4;
   constexpr std::uint32_t kR = 8;  // 32 terminals
@@ -124,35 +117,37 @@ int main(int argc, char** argv) {
 
   struct SeriesSpec {
     std::string name;
+    std::string key;  ///< metric-name component
     const nbclos::Network* net;
     nbclos::sim::OracleFactory factory;
   };
   const std::vector<SeriesSpec> specs{
-      {"crossbar", &xbar_net,
+      {"crossbar", "crossbar", &xbar_net,
        [&](std::uint64_t, nbclos::fault::DegradedView*)
            -> std::unique_ptr<nbclos::sim::RoutingOracle> {
          return std::make_unique<nbclos::sim::CrossbarOracle>(kN * kR);
        }},
-      {"nonblocking ftree (m=n^2, Thm 3)", &nb_net,
+      {"nonblocking ftree (m=n^2, Thm 3)", "thm3", &nb_net,
        ftree_factory(nb_ft, UplinkPolicy::kTable, &yuan_table)},
-      {"d-mod-k ftree (m=n^2)", &nb_net,
+      {"d-mod-k ftree (m=n^2)", "dmodk_m16", &nb_net,
        ftree_factory(nb_ft, UplinkPolicy::kDModK, nullptr)},
-      {"d-mod-k ftree (m=n)", &budget_net,
+      {"d-mod-k ftree (m=n)", "dmodk_m4", &budget_net,
        ftree_factory(budget_ft, UplinkPolicy::kDModK, nullptr)},
-      {"random-per-packet (m=n^2)", &nb_net,
+      {"random-per-packet (m=n^2)", "random", &nb_net,
        ftree_factory(nb_ft, UplinkPolicy::kRandom, nullptr)},
-      {"least-queue adaptive (m=n^2)", &nb_net,
+      {"least-queue adaptive (m=n^2)", "least_queue", &nb_net,
        ftree_factory(nb_ft, UplinkPolicy::kLeastQueue, nullptr)},
   };
 
-  const auto wall_start = std::chrono::steady_clock::now();
   nbclos::ThreadPool pool;
-  std::optional<nbclos::JsonWriter> writer;
-  if (json) {
-    writer.emplace(std::cout);
-    writer->begin_object();
-    writer->member("experiment", "throughput_vs_load");
-    writer->key("patterns").begin_array();
+  nbclos::bench::Report report("throughput_vs_load");
+  report.manifest().seed = base_config().seed;
+  report.manifest().threads = static_cast<std::uint32_t>(pool.thread_count());
+  report.param("quick", quick);
+  report.param("warmup_cycles", base_config().warmup_cycles);
+  report.param("measure_cycles", base_config().measure_cycles);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    report.param("series." + specs[i].key, specs[i].name);
   }
 
   const auto run_pattern = [&](const std::string& title, const std::string& key,
@@ -172,30 +167,18 @@ int main(int argc, char** argv) {
     }
 
     if (json) {
-      writer->begin_object();
-      writer->member("pattern", key);
-      writer->key("loads").begin_array();
-      for (const double load : loads) writer->value(load);
-      writer->end_array();
-      writer->key("series").begin_array();
       for (std::size_t i = 0; i < specs.size(); ++i) {
-        writer->begin_object();
-        writer->member("name", specs[i].name);
-        writer->key("accepted_throughput").begin_array();
-        for (const auto& result : series[i]) {
-          writer->value(result.accepted_throughput);
+        for (std::size_t l = 0; l < loads.size(); ++l) {
+          const std::string p =
+              key + "." + specs[i].key + ".load" +
+              std::to_string(static_cast<int>(loads[l] * 100 + 0.5)) + ".";
+          const auto& result = series[i][l];
+          report.metric(p + "accepted_throughput", result.accepted_throughput,
+                        "flits/cycle/terminal");
+          report.metric(p + "mean_latency", result.mean_latency, "cycles");
+          report.metric(p + "p99_latency", result.p99_latency, "cycles");
         }
-        writer->end_array();
-        writer->key("mean_latency").begin_array();
-        for (const auto& result : series[i]) writer->value(result.mean_latency);
-        writer->end_array();
-        writer->key("p99_latency").begin_array();
-        for (const auto& result : series[i]) writer->value(result.p99_latency);
-        writer->end_array();
-        writer->end_object();
       }
-      writer->end_array();
-      writer->end_object();
       return;
     }
 
@@ -239,21 +222,7 @@ int main(int argc, char** argv) {
       "(adversarial\nfor m = n^2 static routing)",
       "mod16_residue_funnel", funnel_mod16());
 
-  if (json) {
-    writer->end_array();
-    auto manifest = nbclos::obs::RunInfo::current();
-    manifest.seed = base_config().seed;
-    manifest.threads = static_cast<std::uint32_t>(pool.thread_count());
-    manifest.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
-    writer->key("manifest");
-    manifest.write_json(*writer);
-    writer->end_object();
-    std::cout << "\n";
-    return 0;
-  }
+  if (json) return report.write(std::cout);
   std::cout << "Expected shape (paper + refs [5][7]): the Theorem 3 fabric "
                "tracks the crossbar\non BOTH patterns; every static "
                "destination-keyed configuration has a permutation\nthat "

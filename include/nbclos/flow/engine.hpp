@@ -111,6 +111,9 @@ struct FlowResult {
   [[nodiscard]] bool saturated() const {
     return accepted_throughput < 0.95 * offered_load;
   }
+  /// Every field, bit-exact: the determinism contract across engines,
+  /// shard counts and instrumentation states.
+  friend bool operator==(const FlowResult&, const FlowResult&) = default;
 };
 
 /// One blocked FIFO in a deadlock forensics report: where its head is

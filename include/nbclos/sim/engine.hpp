@@ -129,6 +129,9 @@ struct SimResult {
   [[nodiscard]] bool saturated() const {
     return accepted_throughput < 0.95 * offered_load;
   }
+  /// Every field, bit-exact: the determinism contract across engines,
+  /// shard counts and instrumentation states.
+  friend bool operator==(const SimResult&, const SimResult&) = default;
 };
 
 /// Per-channel link utilization over one simulation run: the fraction of

@@ -56,6 +56,7 @@ void expect_identical(const FlowResult& a, const FlowResult& b,
   EXPECT_EQ(a.deadlock_cycle, b.deadlock_cycle);
   EXPECT_EQ(a.stuck_flits, b.stuck_flits);
   EXPECT_EQ(a.stuck_buffers, b.stuck_buffers);
+  EXPECT_TRUE(a == b) << "a field the checks above miss differs";
 }
 
 /// ftree(2+4, 3): 16 terminals, enough levels for multi-hop worms, small

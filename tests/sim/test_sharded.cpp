@@ -39,6 +39,7 @@ void expect_identical(const SimResult& a, const SimResult& b,
   EXPECT_EQ(a.mean_switch_queue_depth, b.mean_switch_queue_depth) << label;
   EXPECT_EQ(a.min_flow_throughput, b.min_flow_throughput) << label;
   EXPECT_EQ(a.max_flow_throughput, b.max_flow_throughput) << label;
+  EXPECT_TRUE(a == b) << label << ": a field the checks above miss differs";
 }
 
 SimConfig sharded_config(double rate) {

@@ -1,60 +1,40 @@
 #!/usr/bin/env python3
-"""Validate a bench JSON document and flag throughput regressions.
+"""Check an nbclos-bench-v1 document and flag throughput regressions.
 
 Usage:
-    check_bench_regression.py CURRENT.json BASELINE.json [--tolerance 0.25]
-    check_bench_regression.py CURRENT.json --schema-only
+    check_bench_regression.py CURRENT.json [BASELINE.json]
+                              [--tolerance 0.25] [--schema-only]
 
-Five bench schemas are understood (dispatched on the "experiment"
-field):
+Every JSON bench writes one document (bench/harness.hpp):
 
-  * "scale"         (bench_scale)  — per-radix cases; the compared
-    metrics are route_cache.routes_per_sec, verify_random.perms_per_sec,
-    and load_probe.perms_per_sec, matched by radix;
-  * "scale_mt"      (bench_scale_mt) — per-topology cases, each run at
-    several shard counts; the compared metrics are terminals_per_sec,
-    matched by (topology, shards).  Every shard count must report
-    identical_to_single_shard == true — a bit-exact divergence from the
-    1-shard run is a correctness regression, not noise;
-  * "verify_engine" (bench_verify) — the compared metrics are
-    adversarial.full.perms_per_sec and adversarial.delta.perms_per_sec;
-  * "flow"          (bench_flow)   — per-radix cases; the compared
-    metrics are engine.wormhole.cycles_per_sec and
-    engine.vct.cycles_per_sec, matched by radix.  The buffer-margin
-    verdicts double as correctness gates: the guaranteed routings
-    (Theorem 3 and the adaptive schedule) must report a nonzero
-    min_flits_nonblocking and no deadlock;
-  * "flow_mt"       (bench_flow_mt) — per-topology cases, each run
-    serially and at several shard counts; the compared metrics are the
-    serial and per-shard-count cycles_per_sec, matched by (topology,
-    shards).  Every shard count must report identical_to_serial == true
-    — a bit-exact divergence from serial FlowSim is a correctness
-    regression, not noise — and the bisection margins on the Theorem 3
-    routing must stay nonzero and deadlock-free.  speedup_vs_serial is
-    reported but never gated: single-hardware-thread CI runners make
-    any speedup floor meaningless.  When the document carries a
-    recorder_overhead section (newer benches), its results_identical
-    and per-shard-count series identity verdicts are fatal gates and
-    the live-vs-paused overhead must stay under a generous cap; older
-    baselines without the section still validate.  The scale section
-    (sparse lazy arenas on 10-ary trees) is mandatory: every point must
-    stay within the committed arena bytes/terminal budget, must not
-    deadlock, and identity-checked points must match the serial run;
-    scale cycles_per_sec joins the throughput comparison.
+    {"schema": "nbclos-bench-v1", "experiment": <id>, "params": {...},
+     "metrics":  {<name>: {"value": <number>, "unit": <str>, "gate": <bool>}},
+     "verdicts": {<name>: <bool>},
+     "budgets":  {<name>: {"value": <number>, "limit": <number>}},
+     "manifest": {"build_type": <str>, "hardware_concurrency": <int>, ...}}
 
-The gate is two-level, tuned so scheduler noise on a shared runner
-cannot flap it while a real code regression (which slows *every* case)
-still trips it:
+Checks, in order; every failure is reported, and any makes the exit
+status 1:
 
-  * the GEOMETRIC MEAN of the current/baseline ratios over all metrics
-    must be >= 1 - tolerance (default 25%) — a genuine slowdown moves
-    every ratio, so the mean is far less noisy than any single timing;
-  * each INDIVIDUAL metric must stay >= 1 - 2*tolerance — a backstop
-    against one case cratering while the others mask it.
+  1. both documents have the envelope above;
+  2. CURRENT has no false verdict;
+  3. every CURRENT budget holds: value <= limit, recomputed here;
+  4. with a BASELINE: the experiments match, and every metric, verdict
+     and budget name the baseline has is also in CURRENT, so a check
+     cannot vanish silently;
+  5. with a BASELINE and without --schema-only: the throughput gate
+     over the metrics the baseline marks "gate": true (all
+     higher-is-better):
+       * the GEOMETRIC MEAN of the current/baseline ratios must be
+         >= 1 - tolerance (default 25%) — a genuine slowdown moves every
+         ratio, so the mean is far less noisy than any single timing;
+       * each INDIVIDUAL ratio must stay >= 1 - 2*tolerance — a backstop
+         against one case cratering while the others mask it;
+       * a baseline value <= 0 is an error.
 
 Comparisons across *different* hardware are only meaningful for
 order-of-magnitude sanity, which is exactly what the CI smoke job uses
-them for.  Exit status: 0 = ok, 1 = regression or schema error.
+them for.
 """
 
 import argparse
@@ -62,280 +42,51 @@ import json
 import math
 import sys
 
-
-def fail(msg):
-    print(f"FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
+SCHEMA = "nbclos-bench-v1"
+SECTIONS = ("metrics", "verdicts", "budgets")
 
 
-def require(doc, path, typ):
-    """Fetch a dotted path from nested dicts, checking its type."""
-    node = doc
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            fail(f"missing field '{path}'")
-        node = node[part]
-    if not isinstance(node, typ):
-        fail(f"field '{path}' has type {type(node).__name__}, "
-             f"expected {typ.__name__}")
-    return node
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
 
-def validate_scale(doc):
-    cases = require(doc, "cases", list)
-    if not cases:
-        fail("scale document has no cases")
-    for case in cases:
-        require(case, "radix", int)
-        require(case, "leafs", int)
-        require(case, "links", int)
-        require(case, "route_cache.routes_per_sec", (int, float))
-        require(case, "route_cache.cache_bytes", int)
-        require(case, "verify_random.perms_per_sec", (int, float))
-        require(case, "verify_random.nonblocking", bool)
-        require(case, "load_probe.perms_per_sec", (int, float))
-        require(case, "cache_hit_rate", (int, float))
-        require(case, "peak_rss_kb", int)
-        if not case["verify_random"]["nonblocking"]:
-            fail(f"radix {case['radix']}: verification verdict regressed "
-                 "(expected nonblocking)")
-    require(doc, "manifest.build_type", str)
-
-
-def validate_scale_mt(doc):
-    cases = require(doc, "cases", list)
-    if not cases:
-        fail("scale_mt document has no cases")
-    for case in cases:
-        topo = require(case, "topology", str)
-        require(case, "terminals", int)
-        require(case, "channels", int)
-        require(case, "peak_rss_kb", int)
-        points = require(case, "shard_counts", list)
-        if not points:
-            fail(f"{topo}: no shard-count points")
-        for point in points:
-            shards = require(point, "shards", int)
-            require(point, "seconds", (int, float))
-            require(point, "terminals_per_sec", (int, float))
-            require(point, "bytes_per_terminal", (int, float))
-            require(point, "cross_shard_flits", int)
-            require(point, "accepted_throughput", (int, float))
-            if not require(point, "identical_to_single_shard", bool):
-                fail(f"{topo} at {shards} shards: results diverged from "
-                     "the single-shard run (determinism regression)")
-    require(doc, "manifest.build_type", str)
-
-
-def validate_verify(doc):
-    require(doc, "adversarial.full.perms_per_sec", (int, float))
-    require(doc, "adversarial.delta.perms_per_sec", (int, float))
-    require(doc, "adversarial.worst_collisions", int)
-    require(doc, "manifest.build_type", str)
-
-
-FLOW_MARGIN_KEYS = ("thm3_wormhole", "thm3_vct", "dmodk_wormhole",
-                    "dmodk_vct", "adaptive_wormhole", "adaptive_vct")
-
-
-def validate_flow(doc):
-    cases = require(doc, "cases", list)
-    if not cases:
-        fail("flow document has no cases")
-    for case in cases:
-        require(case, "radix", int)
-        require(case, "leafs", int)
-        for mode in ("wormhole", "vct"):
-            require(case, f"engine.{mode}.cycles_per_sec", (int, float))
-            require(case, f"engine.{mode}.accepted_throughput", (int, float))
-            if require(case, f"engine.{mode}.deadlocked", bool):
-                fail(f"radix {case['radix']}: {mode} engine run deadlocked "
-                     "on the Theorem 3 routing")
-        for key in FLOW_MARGIN_KEYS:
-            require(case, f"margin.{key}.min_flits_nonblocking", int)
-            points = require(case, f"margin.{key}.points", list)
-            if not points:
-                fail(f"radix {case['radix']}: margin {key} has no points")
-            for point in points:
-                require(point, "buffer_flits", int)
-                require(point, "sustained", bool)
-                if require(point, "deadlocked", bool):
-                    fail(f"radix {case['radix']}: margin {key} deadlocked "
-                         f"at depth {point['buffer_flits']}")
-        # The guaranteed routings must keep sustaining the probe at some
-        # probed depth — a 0 here is a correctness regression, not noise.
-        for key in ("thm3_wormhole", "thm3_vct",
-                    "adaptive_wormhole", "adaptive_vct"):
-            if case["margin"][key]["min_flits_nonblocking"] == 0:
-                fail(f"radix {case['radix']}: {key} margin verdict "
-                     "regressed (guaranteed routing no longer sustains "
-                     "the probe at any depth)")
-    require(doc, "manifest.build_type", str)
-
-
-# The acceptance budget for the flight recorder is < 5% on a quiet
-# machine; the hard gate is looser because CI runners time noisily.  The
-# identity verdicts, in contrast, are exact and always fatal.
-RECORDER_OVERHEAD_CAP_PCT = 25.0
-
-
-def check_recorder_overhead(doc, where):
-    """Validate an optional recorder_overhead section (newer benches
-    emit it; older baseline documents without one must keep passing)."""
-    if "recorder_overhead" not in doc:
-        return
-    section = require(doc, "recorder_overhead", dict)
-    require(doc, "recorder_overhead.compiled_in", bool)
-    require(doc, "recorder_overhead.enabled_seconds", (int, float))
-    require(doc, "recorder_overhead.paused_seconds", (int, float))
-    overhead = require(doc, "recorder_overhead.overhead_pct", (int, float))
-    if not require(doc, "recorder_overhead.results_identical", bool):
-        fail(f"{where}: recording changed the engine result "
-             "(instrumentation fed back into the simulation)")
-    if section["compiled_in"] and overhead > RECORDER_OVERHEAD_CAP_PCT:
-        fail(f"{where}: recorder overhead {overhead:.1f}% exceeds the "
-             f"{RECORDER_OVERHEAD_CAP_PCT:.0f}% gate")
-    for point in section.get("series_identity", []):
-        shards = require(point, "shards", int)
-        if not require(point, "identical_to_serial", bool):
-            fail(f"{where}: merged time-series at {shards} shards "
-                 "diverged from the serial run (determinism regression)")
-
-
-def validate_flow_mt(doc):
-    cases = require(doc, "cases", list)
-    if not cases:
-        fail("flow_mt document has no cases")
-    for case in cases:
-        topo = require(case, "topology", str)
-        require(case, "terminals", int)
-        require(case, "channels", int)
-        require(case, "peak_rss_kb", int)
-        require(case, "serial.cycles_per_sec", (int, float))
-        if require(case, "serial.deadlocked", bool):
-            fail(f"{topo}: serial reference run deadlocked")
-        points = require(case, "shard_counts", list)
-        if not points:
-            fail(f"{topo}: no shard-count points")
-        for point in points:
-            shards = require(point, "shards", int)
-            require(point, "seconds", (int, float))
-            require(point, "cycles_per_sec", (int, float))
-            require(point, "speedup_vs_serial", (int, float))
-            require(point, "cross_shard_flits", int)
-            require(point, "cross_shard_credits", int)
-            require(point, "accepted_throughput", (int, float))
-            if not require(point, "identical_to_serial", bool):
-                fail(f"{topo} at {shards} shards: results diverged from "
-                     "the serial FlowSim run (determinism regression)")
-        for mode in ("wormhole", "vct"):
-            min_flits = require(case, f"margin.{mode}.min_flits_nonblocking",
-                                int)
-            points = require(case, f"margin.{mode}.points", list)
-            if not points:
-                fail(f"{topo}: margin {mode} probed no depths")
-            for point in points:
-                require(point, "buffer_flits", int)
-                require(point, "sustained", bool)
-                if require(point, "deadlocked", bool):
-                    fail(f"{topo}: margin {mode} deadlocked at depth "
-                         f"{point['buffer_flits']}")
-            if min_flits == 0:
-                fail(f"{topo}: {mode} margin verdict regressed (the "
-                     "nonblocking routing no longer sustains the probe "
-                     "at any depth)")
-    budget = require(doc, "scale.budget_bytes_per_terminal", (int, float))
-    points = require(doc, "scale.points", list)
-    if not points:
-        fail("scale section probed no trees")
-    for point in points:
-        topo = require(point, "topology", str)
-        require(point, "terminals", int)
-        require(point, "cycles_per_sec", (int, float))
-        require(point, "flit_arena_bytes", int)
-        require(point, "packet_arena_bytes", int)
-        bpt = require(point, "bytes_per_terminal", (int, float))
-        require(point, "resident_slots", int)
-        require(point, "peak_slots", int)
-        require(point, "spill_bytes", int)
-        if require(point, "deadlocked", bool):
-            fail(f"scale {topo}: run deadlocked")
-        if not require(point, "within_budget", bool) or bpt > budget:
-            fail(f"scale {topo}: {bpt:.1f} arena bytes/terminal exceed "
-                 f"the committed {budget:.0f}-byte budget "
-                 "(lazy arenas densified)")
-        if require(point, "identity_checked", bool) and \
-                not require(point, "identical_to_serial", bool):
-            fail(f"scale {topo}: sharded run diverged from serial "
-                 "(determinism regression)")
-    check_recorder_overhead(doc, "flow_mt")
-    require(doc, "manifest.build_type", str)
-
-
-def scale_metrics(doc):
-    out = {}
-    for case in doc["cases"]:
-        r = case["radix"]
-        out[f"radix{r}.route_cache.routes_per_sec"] = \
-            case["route_cache"]["routes_per_sec"]
-        out[f"radix{r}.verify_random.perms_per_sec"] = \
-            case["verify_random"]["perms_per_sec"]
-        out[f"radix{r}.load_probe.perms_per_sec"] = \
-            case["load_probe"]["perms_per_sec"]
-    return out
-
-
-def scale_mt_metrics(doc):
-    out = {}
-    for case in doc["cases"]:
-        topo = case["topology"]
-        for point in case["shard_counts"]:
-            out[f"{topo}.shards{point['shards']}.terminals_per_sec"] = \
-                point["terminals_per_sec"]
-    return out
-
-
-def verify_metrics(doc):
-    return {
-        "adversarial.full.perms_per_sec":
-            doc["adversarial"]["full"]["perms_per_sec"],
-        "adversarial.delta.perms_per_sec":
-            doc["adversarial"]["delta"]["perms_per_sec"],
-    }
-
-
-def flow_metrics(doc):
-    out = {}
-    for case in doc["cases"]:
-        r = case["radix"]
-        for mode in ("wormhole", "vct"):
-            out[f"radix{r}.engine.{mode}.cycles_per_sec"] = \
-                case["engine"][mode]["cycles_per_sec"]
-    return out
-
-
-def flow_mt_metrics(doc):
-    out = {}
-    for case in doc["cases"]:
-        topo = case["topology"]
-        out[f"{topo}.serial.cycles_per_sec"] = \
-            case["serial"]["cycles_per_sec"]
-        for point in case["shard_counts"]:
-            out[f"{topo}.shards{point['shards']}.cycles_per_sec"] = \
-                point["cycles_per_sec"]
-    for point in doc["scale"]["points"]:
-        out[f"scale.{point['topology']}.cycles_per_sec"] = \
-            point["cycles_per_sec"]
-    return out
-
-
-SCHEMAS = {
-    "scale": (validate_scale, scale_metrics),
-    "scale_mt": (validate_scale_mt, scale_mt_metrics),
-    "verify_engine": (validate_verify, verify_metrics),
-    "flow": (validate_flow, flow_metrics),
-    "flow_mt": (validate_flow_mt, flow_mt_metrics),
-}
+def envelope_errors(doc):
+    """Everything wrong with the document's shape, as messages."""
+    if not isinstance(doc, dict):
+        return ["document is not a JSON object"]
+    if doc.get("schema") != SCHEMA:
+        return [f"schema is {doc.get('schema')!r}, expected {SCHEMA!r}"]
+    errors = []
+    if not isinstance(doc.get("experiment"), str) or not doc["experiment"]:
+        errors.append("'experiment' must be a non-empty string")
+    for key in ("params", "manifest") + SECTIONS:
+        if not isinstance(doc.get(key), dict):
+            errors.append(f"'{key}' must be an object")
+    if errors:
+        return errors
+    manifest = doc["manifest"]
+    if not isinstance(manifest.get("build_type"), str) or \
+            not is_number(manifest.get("hardware_concurrency")):
+        errors.append("manifest lacks build_type or hardware_concurrency")
+    for name, value in doc["params"].items():
+        if not (is_number(value) or isinstance(value, (str, bool))):
+            errors.append(f"param '{name}' is not a number, string or bool")
+    for name, m in doc["metrics"].items():
+        if not (isinstance(m, dict) and set(m) == {"value", "unit", "gate"}
+                and is_number(m["value"]) and isinstance(m["unit"], str)
+                and isinstance(m["gate"], bool)):
+            errors.append(f"metric '{name}' is not "
+                          "{value: number, unit: string, gate: bool}")
+    for name, ok in doc["verdicts"].items():
+        if not isinstance(ok, bool):
+            errors.append(f"verdict '{name}' is not a bool")
+    for name, b in doc["budgets"].items():
+        if not (isinstance(b, dict) and set(b) == {"value", "limit"}
+                and is_number(b["value"]) and is_number(b["limit"])):
+            errors.append(f"budget '{name}' is not "
+                          "{value: number, limit: number}")
+    return errors
 
 
 def load(path):
@@ -343,60 +94,88 @@ def load(path):
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        fail(f"{path}: {e}")
-    kind = require(doc, "experiment", str)
-    if kind not in SCHEMAS:
-        fail(f"{path}: unknown experiment '{kind}'")
-    SCHEMAS[kind][0](doc)
-    return kind, doc
+        return None, [f"{path}: {e}"]
+    return doc, [f"{path}: {e}" for e in envelope_errors(doc)]
+
+
+def gate_errors(current, baseline, tolerance):
+    """The two-level throughput gate; prints one line per gated metric."""
+    gated = {name: m["value"] for name, m in baseline["metrics"].items()
+             if m["gate"]}
+    bad = [f"baseline metric '{name}' is not positive"
+           for name, value in sorted(gated.items()) if value <= 0]
+    if bad or not gated:
+        return bad
+    errors = []
+    hard_floor = 1.0 - 2.0 * tolerance
+    log_ratio_sum = 0.0
+    for name, base_value in sorted(gated.items()):
+        value = current["metrics"][name]["value"]
+        ratio = value / base_value
+        log_ratio_sum += math.log(max(ratio, 1e-12))
+        verdict = "ok"
+        if ratio < hard_floor:
+            verdict = f"REGRESSED (below hard floor {hard_floor:.0%})"
+            errors.append(f"metric '{name}' regressed beyond the "
+                          f"{2 * tolerance:.0%} hard floor (ratio {ratio:.2f})")
+        print(f"  {name}: {value:.3e} vs baseline {base_value:.3e} "
+              f"(ratio {ratio:.2f}) {verdict}")
+    geomean = math.exp(log_ratio_sum / len(gated))
+    print(f"  geometric-mean ratio over {len(gated)} metrics: {geomean:.3f}")
+    if geomean < 1.0 - tolerance:
+        errors.append(f"aggregate throughput regressed beyond "
+                      f"{tolerance:.0%} tolerance (geomean ratio "
+                      f"{geomean:.3f})")
+    return errors
+
+
+def check(args):
+    current, errors = load(args.current)
+    if errors:
+        return errors
+    errors += [f"verdict '{name}' is false"
+               for name, ok in sorted(current["verdicts"].items()) if not ok]
+    errors += [f"budget '{name}': {b['value']} exceeds limit {b['limit']}"
+               for name, b in sorted(current["budgets"].items())
+               if not b["value"] <= b["limit"]]
+    if args.baseline is None:
+        return errors
+
+    baseline, base_errors = load(args.baseline)
+    if base_errors:
+        return errors + base_errors
+    if baseline["experiment"] != current["experiment"]:
+        return errors + [f"experiment mismatch: {current['experiment']} vs "
+                         f"baseline {baseline['experiment']}"]
+    missing = [f"current document is missing {section[:-1]} '{name}'"
+               for section in SECTIONS
+               for name in sorted(baseline[section])
+               if name not in current[section]]
+    if missing or args.schema_only:
+        return errors + missing
+    return errors + gate_errors(current, baseline, args.tolerance)
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     parser.add_argument("current")
     parser.add_argument("baseline", nargs="?")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional slowdown (default 0.25)")
     parser.add_argument("--schema-only", action="store_true",
-                        help="validate the document, skip the comparison")
+                        help="check the documents and names, skip the "
+                             "throughput gate")
     args = parser.parse_args()
 
-    kind, current = load(args.current)
-    print(f"{args.current}: valid '{kind}' document")
-    if args.schema_only or args.baseline is None:
-        return
-
-    base_kind, baseline = load(args.baseline)
-    if base_kind != kind:
-        fail(f"experiment mismatch: {kind} vs {base_kind}")
-
-    extract = SCHEMAS[kind][1]
-    cur, base = extract(current), extract(baseline)
-    hard_floor = 1.0 - 2.0 * args.tolerance
-    regressed = False
-    log_ratio_sum = 0.0
-    for name, base_value in base.items():
-        if name not in cur:
-            fail(f"current document is missing metric '{name}'")
-        if base_value <= 0:
-            fail(f"baseline metric '{name}' is not positive")
-        ratio = cur[name] / base_value
-        log_ratio_sum += math.log(max(ratio, 1e-12))
-        verdict = "ok"
-        if ratio < hard_floor:
-            verdict = f"REGRESSED (below hard floor {hard_floor:.0%})"
-            regressed = True
-        print(f"  {name}: {cur[name]:.3e} vs baseline {base_value:.3e} "
-              f"(ratio {ratio:.2f}) {verdict}")
-    geomean = math.exp(log_ratio_sum / len(base))
-    print(f"  geometric-mean ratio over {len(base)} metrics: {geomean:.3f}")
-    if geomean < 1.0 - args.tolerance:
-        fail(f"aggregate throughput regressed beyond {args.tolerance:.0%} "
-             f"tolerance (geomean ratio {geomean:.3f})")
-    if regressed:
-        fail("an individual metric regressed beyond the "
-             f"{2 * args.tolerance:.0%} hard floor")
-    print(f"no regression beyond {args.tolerance:.0%} tolerance")
+    errors = check(args)
+    for error in errors:
+        print(f"FAIL: {error}", file=sys.stderr)
+    if errors:
+        sys.exit(1)
+    what = "valid" if args.baseline is None or args.schema_only else \
+        f"no regression beyond {args.tolerance:.0%} tolerance"
+    print(f"{args.current}: {what}")
 
 
 if __name__ == "__main__":

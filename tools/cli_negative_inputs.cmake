@@ -1,20 +1,30 @@
-# Negative-input table for the nbclos CLI: every row must exit nonzero
-# within a few seconds and name the offending input on stderr.  A count
-# that wraps around (e.g. "-5" read as ~2^64 trials) would hang instead;
-# the per-row timeout turns that into a fast failure.
+# Negative-input table runner: every row must exit nonzero within a few
+# seconds and name the offending input on stderr.  A count that wraps
+# around (e.g. "-5" read as ~2^64 trials) would hang instead; the
+# per-row timeout turns that into a fast failure.
 #
-#   cmake -DNBCLOS=<path to the nbclos binary> -P cli_negative_inputs.cmake
+#   cmake -DBIN_DIR=<dir> -P cli_negative_inputs.cmake -- <row>...
 #
-# Row format: "<text stderr must contain>|<command line>".
-set(rows
-  "--trials|verify 4 8 random --trials -5"
-  "--threads|verify 4 8 random --threads -1"
-  "--trials|verify 4 8 random --trials 12abc"
-  "--steps|verify 4 8 adversarial --steps 99999999999"
-  "kary:0,3|flow-sim kary:0,3 0.2")
+# Row format: "<text stderr must contain>|<program> <arguments>", where
+# <program> is a binary in BIN_DIR.  The row tables live next to the
+# add_test() calls that pass them (tools/ and bench/ CMakeLists.txt).
 
-if(NOT NBCLOS)
-  message(FATAL_ERROR "pass -DNBCLOS=<path to the nbclos binary>")
+if(NOT BIN_DIR)
+  message(FATAL_ERROR "pass -DBIN_DIR=<directory holding the binaries>")
+endif()
+
+set(rows)
+set(in_rows FALSE)
+math(EXPR last "${CMAKE_ARGC} - 1")
+foreach(i RANGE ${last})
+  if(in_rows)
+    list(APPEND rows "${CMAKE_ARGV${i}}")
+  elseif(CMAKE_ARGV${i} STREQUAL "--")
+    set(in_rows TRUE)
+  endif()
+endforeach()
+if(NOT rows)
+  message(FATAL_ERROR "pass the rows after '--'")
 endif()
 
 set(failures 0)
@@ -24,19 +34,19 @@ foreach(row IN LISTS rows)
   math(EXPR start "${bar} + 1")
   string(SUBSTRING "${row}" ${start} -1 command)
   separate_arguments(argv UNIX_COMMAND "${command}")
-  execute_process(COMMAND "${NBCLOS}" ${argv}
+  list(POP_FRONT argv program)
+  execute_process(COMMAND "${BIN_DIR}/${program}" ${argv}
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err TIMEOUT 5)
   string(FIND "${err}" "${expect}" named)
   if(NOT rc MATCHES "^[1-9][0-9]*$")
-    message(SEND_ERROR "nbclos ${command}: expected a nonzero exit, got '${rc}'")
+    message(SEND_ERROR "${command}: expected a nonzero exit, got '${rc}'")
     math(EXPR failures "${failures} + 1")
   elseif(named EQUAL -1)
-    message(SEND_ERROR
-      "nbclos ${command}: stderr does not name '${expect}':\n${err}")
+    message(SEND_ERROR "${command}: stderr does not name '${expect}':\n${err}")
     math(EXPR failures "${failures} + 1")
   else()
     string(STRIP "${err}" err)
-    message(STATUS "ok (exit ${rc}): nbclos ${command} -> ${err}")
+    message(STATUS "ok (exit ${rc}): ${command} -> ${err}")
   endif()
 endforeach()
 

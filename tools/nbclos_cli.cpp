@@ -41,11 +41,9 @@
 ///                     run and write the merged time series on exit —
 ///                     CSV when FILE ends in ".csv", else JSON
 ///                     ("-" = JSON to stdout)
-#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -66,6 +64,7 @@
 #include "nbclos/obs/series_export.hpp"
 #include "nbclos/obs/trace.hpp"
 #include "nbclos/util/json.hpp"
+#include "nbclos/util/parse.hpp"
 
 #include "nbclos/adaptive/router.hpp"
 #include "nbclos/analysis/parallel.hpp"
@@ -88,6 +87,8 @@
 #include "nbclos/util/thread_pool.hpp"
 
 namespace {
+
+using nbclos::parse_count;
 
 int usage() {
   std::cerr << "usage:\n"
@@ -183,25 +184,6 @@ void write_metrics_json(std::ostream& out) {
 bool ends_with(const std::string& text, const std::string& suffix) {
   return text.size() >= suffix.size() &&
          text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/// Parse a decimal count given for `what` (a flag or argument name):
-/// digits only — no sign, blanks or trailing junk — and the value must
-/// fit T.  Errors name `what`, so a bad count never wraps around.
-template <typename T = std::uint32_t>
-T parse_count(const std::string& text, const std::string& what) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec == std::errc::result_out_of_range) {
-    throw std::invalid_argument(what + ": '" + text + "' exceeds the maximum " +
-                                std::to_string(std::numeric_limits<T>::max()));
-  }
-  if (ec != std::errc() || ptr != end) {
-    throw std::invalid_argument(
-        what + ": expected a non-negative integer, got '" + text + "'");
-  }
-  return value;
 }
 
 std::uint32_t arg_u32(const std::vector<std::string>& args, std::size_t i,
