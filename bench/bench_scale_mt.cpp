@@ -19,6 +19,9 @@
 ///     k-shard run equals the 1-shard run (bit-exact, doubles included).
 ///     A `false` here is a correctness regression, and the bench itself
 ///     exits nonzero so CI fails even without the baseline gate.
+/// The `ideal.` case runs the ideal-switch reference (1024-deep switch
+/// queues) and budgets its bytes_per_terminal: queue rings must allocate
+/// with occupancy, so a return to up-front queue pools fails the bench.
 /// The per-case and manifest peak_rss_kb are sampled *after* the arenas
 /// ran (the high-water mark is monotone; early sampling under-reports).
 ///
@@ -53,6 +56,8 @@ struct Case {
   double rate = 0.0;
   std::uint32_t queue_capacity = 8;
   int reps = 3;
+  std::vector<std::uint32_t> shard_counts = {1, 2, 4, 8};
+  double budget_bytes_per_terminal = 0.0;  ///< 0: no budget
 };
 
 }  // namespace
@@ -69,13 +74,16 @@ int main(int argc, char** argv) {
   std::vector<Case> cases;
   cases.push_back({"ftree(4+16,8)", 4, 16, 8, 0, 0, 400, 1600, 0.6, 8, 3});
   cases.push_back({"kary(4,5)", 0, 0, 0, 4, 5, 200, 800, 0.4, 8, 3});
+  // Dense 1024-deep switch pools cost ~368,640 B/terminal here.
+  cases.push_back({"ideal.ftree(4+16,8)", 4, 16, 8, 0, 0, 400, 1600, 0.6,
+                   SimConfig::kEffectivelyInfiniteQueueCapacity, 3, {1, 4},
+                   32768.0});
   if (!args.quick) {
     cases.push_back({"kary(16,4)", 0, 0, 0, 16, 4, 100, 400, 0.2, 8, 2});
     // One million terminals: low load, short window, shallow queues —
     // the point is arena scale and epoch overhead, not saturation.
     cases.push_back({"kary(10,6)", 0, 0, 0, 10, 6, 50, 200, 0.1, 4, 1});
   }
-  const std::vector<std::uint32_t> shard_counts = {1, 2, 4, 8};
 
   for (const auto& c : cases) {
     const bool is_ftree = c.ftree_r > 0;
@@ -116,7 +124,7 @@ int main(int argc, char** argv) {
     report.param(p + "queue_capacity", c.queue_capacity);
 
     SimResult single{};
-    for (const auto shards : shard_counts) {
+    for (const auto shards : c.shard_counts) {
       SimResult result{};
       ShardedSim::Telemetry telemetry{};
       std::size_t arena_bytes = 0;
@@ -134,10 +142,13 @@ int main(int argc, char** argv) {
                     static_cast<double>(terminals) *
                         static_cast<double>(total_cycles) / best,
                     "terminal-cycles/s", true);
-      report.metric(q + "bytes_per_terminal",
-                    static_cast<double>(arena_bytes) /
-                        static_cast<double>(terminals),
-                    "bytes");
+      const double bytes_per_terminal =
+          static_cast<double>(arena_bytes) / static_cast<double>(terminals);
+      report.metric(q + "bytes_per_terminal", bytes_per_terminal, "bytes");
+      if (c.budget_bytes_per_terminal > 0.0) {
+        report.budget(q + "bytes_per_terminal", bytes_per_terminal,
+                      c.budget_bytes_per_terminal);
+      }
       report.metric(q + "cross_shard_flits", telemetry.cross_shard_flits,
                     "flits");
       report.metric(q + "mailbox_peak", telemetry.mailbox_peak, "entries");

@@ -18,9 +18,10 @@
 /// Hot-path implementation (see DESIGN.md §"simulator performance
 /// model"): per-cycle cost scales with the number of packets in the
 /// system, not the fabric size.  Channels that hold traffic are tracked
-/// in two dense active lists (in-flight and sendable), queues live in a
-/// flat ring-buffer pool instead of per-channel deques, the mean queue
-/// depth is a maintained running sum, and latency quantiles come from a
+/// in two dense active lists (in-flight and sendable), each queue is a
+/// lazily grown PacketRing whose memory follows its occupancy (nothing is
+/// allocated until a packet arrives), the mean queue depth is a
+/// maintained running sum, and latency quantiles come from a
 /// streaming histogram — no end-of-run sort.  Active lists are re-sorted
 /// by channel id before every sweep, so the visit order (and therefore
 /// every oracle/RNG consultation) is identical to a full ascending scan
@@ -36,6 +37,7 @@
 #include "nbclos/obs/flight_recorder.hpp"
 #include "nbclos/obs/trace.hpp"
 #include "nbclos/sim/oracle.hpp"
+#include "nbclos/sim/packet_ring.hpp"
 #include "nbclos/sim/traffic.hpp"
 #include "nbclos/topology/network.hpp"
 #include "nbclos/util/stats.hpp"
@@ -75,8 +77,8 @@ struct SimConfig {
 
   /// Queue capacity at which no switch queue can fill on the topologies
   /// and loads this library sweeps: in the nonblocking regime queues stay
-  /// a handful of packets deep, so 1024 behaves as infinite while keeping
-  /// the flat queue pool around ~10 MB on ftree(4+16, 8).
+  /// a handful of packets deep, so 1024 behaves as infinite.  It costs
+  /// nothing until used: queue rings grow with occupancy, not capacity.
   static constexpr std::uint32_t kEffectivelyInfiniteQueueCapacity = 1024;
 
   /// The documented ideal-switch reference configuration: single-flit
@@ -93,6 +95,9 @@ struct SimConfig {
     config.seed = seed;
     return config;
   }
+
+  /// Throws precondition_error naming the first out-of-range field.
+  void validate() const;
 
   /// True when this configuration is in the ideal-switch regime the
   /// golden equivalence tests rely on.
@@ -204,15 +209,13 @@ class PacketSim {
     return degraded_ == nullptr || degraded_->channel_alive(channel);
   }
 
-  // --- flat queue pool (FIFO ring per channel) --------------------------
-  // Switch output queues are capacity-bounded slices of one contiguous
-  // pool; terminal NIC send queues are unbounded power-of-two rings in a
-  // per-terminal growable arena.  `queue_depth_` mirrors the size of
+  // --- queues (one lazily grown PacketRing per channel) ------------------
+  // Switch output queues are admission-capped at queue_capacity; terminal
+  // NIC send queues are unbounded.  `queue_depth_` mirrors the size of
   // switch queues only (the oracle-visible SimView; terminal queues read
-  // as 0, as before).
+  // as 0).
   void queue_push(std::uint32_t channel, const Packet& packet);
   [[nodiscard]] Packet queue_pop(std::uint32_t channel);
-  void queue_clear(std::uint32_t channel);
 
   const Network* net_;
   RoutingOracle* oracle_;
@@ -224,16 +227,7 @@ class PacketSim {
   std::uint64_t dropped_packets_ = 0;
 
   std::vector<InFlight> flight_;            ///< per channel
-  std::vector<std::uint32_t> q_head_;       ///< per channel ring head
-  std::vector<std::uint32_t> q_size_;       ///< per channel ring occupancy
-  /// Switch channel: element offset into switch_pool_ (index * slice,
-  /// where the slice is queue_capacity rounded up to a power of two so
-  /// ring wrap-around is a mask, not a division); terminal channel: index
-  /// into term_rings_.
-  std::vector<std::uint32_t> pool_base_;
-  std::uint32_t switch_slice_mask_ = 0;  ///< slice size - 1
-  std::vector<Packet> switch_pool_;         ///< all switch queues, contiguous
-  std::vector<std::vector<Packet>> term_rings_;  ///< growable terminal rings
+  std::vector<PacketRing> queues_;          ///< per channel
   std::vector<std::uint32_t> queue_depth_;  ///< switch queue sizes (SimView)
 
   // Active-channel tracking: `flying_` holds exactly the channels with a

@@ -3,7 +3,7 @@
 ///        channel exchange.
 ///
 /// `ShardedSim` splits a `PacketSim`-equivalent cycle simulation across S
-/// shard workers.  Switches (and the ring-buffer queue pools behind them)
+/// shard workers.  Switches (and the per-channel queue rings behind them)
 /// are partitioned into per-shard arenas by a deterministic, contiguous,
 /// out-channel-balanced vertex cut (`ShardPlan`); every channel is owned
 /// by the shard of its SOURCE vertex, so a queue, its in-flight register,
@@ -99,9 +99,15 @@ class ShardedSim {
   [[nodiscard]] const Telemetry& telemetry() const noexcept {
     return telemetry_;
   }
-  /// Resident bytes of the per-shard simulation arenas (queue pools,
-  /// flight registers, per-channel state) — what the scale benches report
-  /// as bytes/terminal.
+  /// Flits transmitted per channel, gathered from the owning shards.
+  /// Valid after run() (PacketSim::link_busy_flits parity).
+  [[nodiscard]] const std::vector<std::uint64_t>& link_busy_flits() const {
+    return merged_link_busy_;
+  }
+
+  /// Resident bytes of the per-shard simulation arenas (allocated queue
+  /// ring slots, flight registers, per-channel state) — what the scale
+  /// benches report as bytes/terminal.
   [[nodiscard]] std::size_t arena_bytes() const noexcept;
 
   /// The per-epoch time-series recorder (inactive unless
@@ -135,7 +141,6 @@ class ShardedSim {
                bool measuring);
   void queue_push(Shard& sh, std::uint32_t channel, const Packet& packet);
   [[nodiscard]] Packet queue_pop(Shard& sh, std::uint32_t channel);
-  void queue_clear(Shard& sh, std::uint32_t channel);
   void send_ack(Shard& sh, std::uint32_t from, bool accepted);
   [[nodiscard]] bool channel_usable(const Shard& sh,
                                     std::uint32_t channel) const;
@@ -163,6 +168,7 @@ class ShardedSim {
   std::unique_ptr<ShardSync> sync_;
   NumaTopology numa_;
   Telemetry telemetry_;
+  std::vector<std::uint64_t> merged_link_busy_;
   obs::FlightRecorder recorder_;
   obs::FlightRecorder::SeriesId rec_queue_depth_ = 0;
   obs::FlightRecorder::SeriesId rec_active_flying_ = 0;

@@ -1,7 +1,6 @@
 #include "nbclos/sim/engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 
 #include "nbclos/obs/metrics.hpp"
@@ -10,10 +9,6 @@
 namespace nbclos::sim {
 
 namespace {
-
-/// Initial capacity of a terminal NIC ring; grows by doubling, so the
-/// capacity is always a power of two and wrap-around is a mask.
-constexpr std::uint32_t kTermRingInitialCapacity = 16;
 
 /// Per-run oracle seed for (sweep seed, phase tag, run index) —
 /// decorrelated via SplitMix64 so neighboring runs share no stream
@@ -26,6 +21,15 @@ std::uint64_t sweep_run_seed(std::uint64_t seed, std::uint64_t tag,
 
 }  // namespace
 
+void SimConfig::validate() const {
+  NBCLOS_REQUIRE(injection_rate >= 0.0 && injection_rate <= 1.0,
+                 "injection rate must be in [0, 1] flits/cycle");
+  NBCLOS_REQUIRE(packet_size >= 1, "packets need at least one flit");
+  NBCLOS_REQUIRE(queue_capacity >= 1, "queue_capacity must be at least 1");
+  NBCLOS_REQUIRE(queue_capacity <= (std::uint32_t{1} << 31),
+                 "queue_capacity must be at most 2^31 packets");
+}
+
 PacketSim::PacketSim(const Network& net, RoutingOracle& oracle,
                      const TrafficPattern& traffic, SimConfig config,
                      fault::DegradedView* degraded,
@@ -33,8 +37,6 @@ PacketSim::PacketSim(const Network& net, RoutingOracle& oracle,
     : net_(&net), oracle_(&oracle), traffic_(&traffic), config_(config),
       degraded_(degraded), fault_events_(std::move(fault_events)),
       flight_(net.channel_count()),
-      q_head_(net.channel_count(), 0), q_size_(net.channel_count(), 0),
-      pool_base_(net.channel_count(), 0),
       queue_depth_(net.channel_count(), 0),
       in_flying_(net.channel_count(), 0), in_sendable_(net.channel_count(), 0),
       channel_dst_(net.channel_count(), 0),
@@ -54,10 +56,7 @@ PacketSim::PacketSim(const Network& net, RoutingOracle& oracle,
                    [](const fault::FaultEvent& a, const fault::FaultEvent& b) {
                      return a.cycle < b.cycle;
                    });
-  NBCLOS_REQUIRE(config.injection_rate >= 0.0 && config.injection_rate <= 1.0,
-                 "injection rate must be in [0, 1] flits/cycle");
-  NBCLOS_REQUIRE(config.packet_size >= 1, "packets need at least one flit");
-  NBCLOS_REQUIRE(config.queue_capacity >= 1, "queues need capacity >= 1");
+  config.validate();
   terminal_vertices_ = net.terminals();
   NBCLOS_REQUIRE(traffic.terminal_count() == terminal_vertices_.size(),
                  "traffic pattern size does not match network");
@@ -72,27 +71,17 @@ PacketSim::PacketSim(const Network& net, RoutingOracle& oracle,
   rr_last_winner_.assign(net.channel_count(), 0);
   // A channel whose source vertex is a terminal is that terminal's NIC
   // send queue: unbounded, so offered load is never silently dropped.
-  // Carve the flat queue pool: switch channels get fixed-capacity slices
-  // of one contiguous allocation, terminal channels growable rings.
-  const auto slice = std::bit_ceil(config.queue_capacity);
-  switch_slice_mask_ = slice - 1;
-  std::uint32_t switch_channels = 0;
-  std::uint32_t term_channels = 0;
+  queues_.reserve(net.channel_count());
   for (std::uint32_t c = 0; c < net.channel_count(); ++c) {
     const auto& ch = net.channel(c);
     channel_dst_[c] = ch.dst;
     dst_is_terminal_[c] = net.vertex(ch.dst).kind == VertexKind::kTerminal;
-    if (net.vertex(ch.src).kind == VertexKind::kTerminal) {
-      is_terminal_source_queue_[c] = 1;
-      pool_base_[c] = term_channels++;
-    } else {
-      pool_base_[c] = switch_channels * slice;
-      ++switch_channels;
-    }
+    is_terminal_source_queue_[c] =
+        net.vertex(ch.src).kind == VertexKind::kTerminal;
+    queues_.emplace_back(is_terminal_source_queue_[c] ? PacketRing::kUncapped
+                                                      : config.queue_capacity);
+    if (!is_terminal_source_queue_[c]) ++switch_channel_count_;
   }
-  switch_pool_.resize(std::size_t{switch_channels} * slice);
-  term_rings_.resize(term_channels);
-  switch_channel_count_ = switch_channels;
   flying_.reserve(net.channel_count());
   sendable_.reserve(net.channel_count());
   link_busy_flits_.assign(net.channel_count(), 0);
@@ -139,27 +128,11 @@ void PacketSim::sample_recorder() {
 }
 
 void PacketSim::queue_push(std::uint32_t channel, const Packet& packet) {
-  if (is_terminal_source_queue_[channel]) {
-    auto& ring = term_rings_[pool_base_[channel]];
-    if (q_size_[channel] == ring.size()) {
-      // Full (or first use): double and relinearize so head lands at 0.
-      std::vector<Packet> bigger(
-          ring.empty() ? kTermRingInitialCapacity : ring.size() * 2);
-      for (std::uint32_t i = 0; i < q_size_[channel]; ++i) {
-        bigger[i] = ring[(q_head_[channel] + i) & (ring.size() - 1)];
-      }
-      ring = std::move(bigger);
-      q_head_[channel] = 0;
-    }
-    ring[(q_head_[channel] + q_size_[channel]) & (ring.size() - 1)] = packet;
-  } else {
-    switch_pool_[pool_base_[channel] +
-                 ((q_head_[channel] + q_size_[channel]) &
-                  switch_slice_mask_)] = packet;
+  queues_[channel].push(packet);
+  if (!is_terminal_source_queue_[channel]) {
     ++queue_depth_[channel];
     ++switch_depth_sum_;
   }
-  ++q_size_[channel];
   if (!in_sendable_[channel]) {
     in_sendable_[channel] = 1;
     sendable_.push_back(channel);
@@ -167,30 +140,11 @@ void PacketSim::queue_push(std::uint32_t channel, const Packet& packet) {
 }
 
 Packet PacketSim::queue_pop(std::uint32_t channel) {
-  NBCLOS_ASSERT(q_size_[channel] > 0);
-  Packet packet;
-  if (is_terminal_source_queue_[channel]) {
-    auto& ring = term_rings_[pool_base_[channel]];
-    packet = ring[q_head_[channel]];
-    q_head_[channel] = (q_head_[channel] + 1) &
-                       (static_cast<std::uint32_t>(ring.size()) - 1);
-  } else {
-    packet = switch_pool_[pool_base_[channel] + q_head_[channel]];
-    q_head_[channel] = (q_head_[channel] + 1) & switch_slice_mask_;
+  if (!is_terminal_source_queue_[channel]) {
     --queue_depth_[channel];
     --switch_depth_sum_;
   }
-  --q_size_[channel];
-  return packet;
-}
-
-void PacketSim::queue_clear(std::uint32_t channel) {
-  if (!is_terminal_source_queue_[channel]) {
-    switch_depth_sum_ -= queue_depth_[channel];
-    queue_depth_[channel] = 0;
-  }
-  q_size_[channel] = 0;
-  q_head_[channel] = 0;
+  return queues_[channel].pop();
 }
 
 void PacketSim::deliver(const Packet& packet) {
@@ -235,9 +189,11 @@ void PacketSim::apply_due_faults() {
     }
   }
   for (const auto c : sendable_) {
-    if (q_size_[c] > 0 && !degraded_->channel_alive(c)) {
-      dropped_packets_ += q_size_[c];
-      queue_clear(c);
+    if (queues_[c].size() > 0 && !degraded_->channel_alive(c)) {
+      dropped_packets_ += queues_[c].size();
+      queues_[c].clear();
+      switch_depth_sum_ -= queue_depth_[c];  // 0 for a NIC queue
+      queue_depth_[c] = 0;
     }
   }
 }
@@ -328,7 +284,7 @@ void PacketSim::step_transmissions() {
   const std::size_t sendable_count = sendable_.size();
   for (std::size_t i = 0; i < sendable_count; ++i) {
     const auto c = sendable_[i];
-    if (q_size_[c] == 0) {  // drained or fault-purged since the last sweep
+    if (queues_[c].size() == 0) {  // drained or fault-purged since last sweep
       in_sendable_[c] = 0;
       continue;
     }
@@ -347,7 +303,7 @@ void PacketSim::step_transmissions() {
         in_flying_[c] = 1;
         flying_.push_back(c);
       }
-      if (q_size_[c] == 0) {
+      if (queues_[c].size() == 0) {
         in_sendable_[c] = 0;
         continue;
       }

@@ -1,7 +1,6 @@
 #include "nbclos/sim/sharded.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <thread>
 
@@ -9,10 +8,6 @@
 #include "nbclos/sim/injection_rng.hpp"
 
 namespace nbclos::sim {
-
-namespace {
-constexpr std::uint32_t kTermRingInitialCapacity = 16;
-}  // namespace
 
 /// All mutable per-shard simulation state — one arena per worker, never
 /// touched by any other thread.  Per-channel arrays are locally indexed
@@ -32,9 +27,7 @@ struct ShardedSim::Shard {
 
   // Per owned channel, locally indexed.
   std::vector<InFlight> flight;
-  std::vector<std::uint32_t> q_head;
-  std::vector<std::uint32_t> q_size;
-  std::vector<std::uint32_t> pool_base;
+  std::vector<PacketRing> queues;
   std::vector<std::uint32_t> queue_depth;
   std::vector<std::uint32_t> rr_last_winner;  ///< global id of last winner
   std::vector<std::uint8_t> in_flying;
@@ -42,9 +35,7 @@ struct ShardedSim::Shard {
   std::vector<std::uint8_t> dst_is_terminal;
   std::vector<std::uint8_t> is_terminal_source_queue;
   std::vector<std::uint32_t> channel_dst;
-  std::uint32_t switch_slice_mask = 0;
-  std::vector<Packet> switch_pool;               ///< the shard's queue arena
-  std::vector<std::vector<Packet>> term_rings;
+  std::vector<std::uint64_t> link_busy;  ///< flits transmitted per channel
   std::vector<std::uint32_t> flying;    ///< global channel ids
   std::vector<std::uint32_t> sendable;  ///< global channel ids
 
@@ -94,10 +85,7 @@ ShardedSim::ShardedSim(const Network& net, const ShardRouter& router,
                  "degraded view was built over a different network");
   NBCLOS_REQUIRE(fault_events_.empty() || degraded != nullptr,
                  "fault events need a degraded view to apply to");
-  NBCLOS_REQUIRE(config.injection_rate >= 0.0 && config.injection_rate <= 1.0,
-                 "injection rate must be in [0, 1] flits/cycle");
-  NBCLOS_REQUIRE(config.packet_size >= 1, "packets need at least one flit");
-  NBCLOS_REQUIRE(config.queue_capacity >= 1, "queues need capacity >= 1");
+  config.validate();
   std::stable_sort(fault_events_.begin(), fault_events_.end(),
                    [](const fault::FaultEvent& a, const fault::FaultEvent& b) {
                      return a.cycle < b.cycle;
@@ -194,13 +182,10 @@ void ShardedSim::sample_recorder(Shard& sh, std::uint64_t now) {
 void ShardedSim::init_shard_arena(std::uint32_t s) {
   Shard& sh = *shards_[s];
   const std::uint64_t total = config_.warmup_cycles + config_.measure_cycles;
-  const auto slice = std::bit_ceil(config_.queue_capacity);
   const auto& owned = plan_.shard_channels[s];
   const auto count = static_cast<std::uint32_t>(owned.size());
   sh.flight.resize(count);
-  sh.q_head.assign(count, 0);
-  sh.q_size.assign(count, 0);
-  sh.pool_base.assign(count, 0);
+  sh.queues.reserve(count);
   sh.queue_depth.assign(count, 0);
   sh.rr_last_winner.assign(count, 0);
   sh.in_flying.assign(count, 0);
@@ -208,25 +193,19 @@ void ShardedSim::init_shard_arena(std::uint32_t s) {
   sh.dst_is_terminal.assign(count, 0);
   sh.is_terminal_source_queue.assign(count, 0);
   sh.channel_dst.assign(count, 0);
-  sh.switch_slice_mask = slice - 1;
-  std::uint32_t switch_channels = 0;
-  std::uint32_t term_channels = 0;
+  sh.link_busy.assign(count, 0);
   for (std::uint32_t li = 0; li < count; ++li) {
     const auto c = owned[li];
     const auto dst = net_->channel_dst(c);
     sh.channel_dst[li] = dst;
     sh.dst_is_terminal[li] = net_->vertex(dst).kind == VertexKind::kTerminal;
-    if (net_->vertex(net_->channel_src(c)).kind == VertexKind::kTerminal) {
-      sh.is_terminal_source_queue[li] = 1;
-      sh.pool_base[li] = term_channels++;
-    } else {
-      sh.pool_base[li] = switch_channels * slice;
-      ++switch_channels;
-    }
+    sh.is_terminal_source_queue[li] =
+        net_->vertex(net_->channel_src(c)).kind == VertexKind::kTerminal;
+    sh.queues.emplace_back(sh.is_terminal_source_queue[li]
+                               ? PacketRing::kUncapped
+                               : config_.queue_capacity);
+    if (!sh.is_terminal_source_queue[li]) ++sh.switch_channel_count;
   }
-  sh.switch_pool.resize(std::size_t{switch_channels} * slice);
-  sh.term_rings.resize(term_channels);
-  sh.switch_channel_count = switch_channels;
   sh.flying.reserve(count);
   sh.sendable.reserve(count);
   sh.delivered_per_source.assign(terminal_count_, 0);
@@ -244,26 +223,11 @@ bool ShardedSim::channel_usable(const Shard& sh, std::uint32_t channel) const {
 void ShardedSim::queue_push(Shard& sh, std::uint32_t channel,
                             const Packet& packet) {
   const auto li = plan_.channel_local[channel];
-  if (sh.is_terminal_source_queue[li]) {
-    auto& ring = sh.term_rings[sh.pool_base[li]];
-    if (sh.q_size[li] == ring.size()) {
-      std::vector<Packet> bigger(
-          ring.empty() ? kTermRingInitialCapacity : ring.size() * 2);
-      for (std::uint32_t i = 0; i < sh.q_size[li]; ++i) {
-        bigger[i] = ring[(sh.q_head[li] + i) & (ring.size() - 1)];
-      }
-      ring = std::move(bigger);
-      sh.q_head[li] = 0;
-    }
-    ring[(sh.q_head[li] + sh.q_size[li]) & (ring.size() - 1)] = packet;
-  } else {
-    sh.switch_pool[sh.pool_base[li] +
-                   ((sh.q_head[li] + sh.q_size[li]) &
-                    sh.switch_slice_mask)] = packet;
+  sh.queues[li].push(packet);
+  if (!sh.is_terminal_source_queue[li]) {
     ++sh.queue_depth[li];
     ++sh.switch_depth_sum;
   }
-  ++sh.q_size[li];
   if (!sh.in_sendable[li]) {
     sh.in_sendable[li] = 1;
     sh.sendable.push_back(channel);
@@ -272,31 +236,11 @@ void ShardedSim::queue_push(Shard& sh, std::uint32_t channel,
 
 Packet ShardedSim::queue_pop(Shard& sh, std::uint32_t channel) {
   const auto li = plan_.channel_local[channel];
-  NBCLOS_ASSERT(sh.q_size[li] > 0);
-  Packet packet;
-  if (sh.is_terminal_source_queue[li]) {
-    auto& ring = sh.term_rings[sh.pool_base[li]];
-    packet = ring[sh.q_head[li]];
-    sh.q_head[li] = (sh.q_head[li] + 1) &
-                    (static_cast<std::uint32_t>(ring.size()) - 1);
-  } else {
-    packet = sh.switch_pool[sh.pool_base[li] + sh.q_head[li]];
-    sh.q_head[li] = (sh.q_head[li] + 1) & sh.switch_slice_mask;
+  if (!sh.is_terminal_source_queue[li]) {
     --sh.queue_depth[li];
     --sh.switch_depth_sum;
   }
-  --sh.q_size[li];
-  return packet;
-}
-
-void ShardedSim::queue_clear(Shard& sh, std::uint32_t channel) {
-  const auto li = plan_.channel_local[channel];
-  if (!sh.is_terminal_source_queue[li]) {
-    sh.switch_depth_sum -= sh.queue_depth[li];
-    sh.queue_depth[li] = 0;
-  }
-  sh.q_size[li] = 0;
-  sh.q_head[li] = 0;
+  return sh.queues[li].pop();
 }
 
 void ShardedSim::deliver(Shard& sh, const Packet& packet, std::uint64_t now,
@@ -331,9 +275,11 @@ void ShardedSim::cycle_faults(Shard& sh, std::uint64_t now) {
   }
   for (const auto c : sh.sendable) {
     const auto li = plan_.channel_local[c];
-    if (sh.q_size[li] > 0 && !sh.degraded->channel_alive(c)) {
-      sh.dropped += sh.q_size[li];
-      queue_clear(sh, c);
+    if (sh.queues[li].size() > 0 && !sh.degraded->channel_alive(c)) {
+      sh.dropped += sh.queues[li].size();
+      sh.queues[li].clear();
+      sh.switch_depth_sum -= sh.queue_depth[li];  // 0 for a NIC queue
+      sh.queue_depth[li] = 0;
     }
   }
 }
@@ -473,7 +419,7 @@ void ShardedSim::phase_resolve(Shard& sh, std::uint64_t now) {
   for (std::size_t i = 0; i < sendable_count; ++i) {
     const auto c = sh.sendable[i];
     const auto li = plan_.channel_local[c];
-    if (sh.q_size[li] == 0) {
+    if (sh.queues[li].size() == 0) {
       sh.in_sendable[li] = 0;
       continue;
     }
@@ -483,11 +429,12 @@ void ShardedSim::phase_resolve(Shard& sh, std::uint64_t now) {
       fl.valid = true;
       fl.arrival_cycle = now + fl.packet.size_flits;
       sh.link_busy_flits += fl.packet.size_flits;
+      sh.link_busy[li] += fl.packet.size_flits;
       if (!sh.in_flying[li]) {
         sh.in_flying[li] = 1;
         sh.flying.push_back(c);
       }
-      if (sh.q_size[li] == 0) {
+      if (sh.queues[li].size() == 0) {
         sh.in_sendable[li] = 0;
         continue;
       }
@@ -641,7 +588,12 @@ SimResult ShardedSim::merge_results() {
     for (const auto& fl : sh.flight) {
       if (fl.valid) ++telemetry_.remaining_packets;
     }
-    for (const auto q : sh.q_size) telemetry_.remaining_packets += q;
+    for (const auto& q : sh.queues) telemetry_.remaining_packets += q.size();
+  }
+  merged_link_busy_.assign(net_->channel_count(), 0);
+  for (std::uint32_t c = 0; c < net_->channel_count(); ++c) {
+    const Shard& owner = *shards_[plan_.channel_owner[c]];
+    merged_link_busy_[c] = owner.link_busy[plan_.channel_local[c]];
   }
 
   result.accepted_throughput =
@@ -706,21 +658,19 @@ std::size_t ShardedSim::arena_bytes() const noexcept {
   std::size_t bytes = 0;
   for (const auto& shard : shards_) {
     const Shard& sh = *shard;
-    bytes += sh.switch_pool.capacity() * sizeof(Packet);
-    for (const auto& ring : sh.term_rings) {
-      bytes += ring.capacity() * sizeof(Packet);
+    for (const auto& ring : sh.queues) {
+      bytes += std::size_t{ring.capacity()} * sizeof(Packet);
     }
-    bytes += sh.term_rings.capacity() * sizeof(std::vector<Packet>);
+    bytes += sh.queues.capacity() * sizeof(PacketRing);
     bytes += sh.flight.capacity() * sizeof(Shard::InFlight);
-    bytes += (sh.q_head.capacity() + sh.q_size.capacity() +
-              sh.pool_base.capacity() + sh.queue_depth.capacity() +
-              sh.rr_last_winner.capacity() + sh.channel_dst.capacity() +
-              sh.flying.capacity() + sh.sendable.capacity()) *
+    bytes += (sh.queue_depth.capacity() + sh.rr_last_winner.capacity() +
+              sh.channel_dst.capacity() + sh.flying.capacity() +
+              sh.sendable.capacity()) *
              sizeof(std::uint32_t);
     bytes += sh.in_flying.capacity() + sh.in_sendable.capacity() +
              sh.dst_is_terminal.capacity() +
              sh.is_terminal_source_queue.capacity();
-    bytes += (sh.delivered_per_source.capacity() +
+    bytes += (sh.link_busy.capacity() + sh.delivered_per_source.capacity() +
               sh.flow_sequence.capacity() +
               sh.depth_sum_by_cycle.capacity()) *
              sizeof(std::uint64_t);

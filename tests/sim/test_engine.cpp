@@ -4,6 +4,7 @@
 
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
+#include "nbclos/sim/sharded.hpp"
 
 namespace nbclos::sim {
 namespace {
@@ -247,6 +248,37 @@ TEST(Engine, RejectsBadConfig) {
   config.packet_size = 1;
   config.queue_capacity = 0;
   EXPECT_THROW(PacketSim(net, oracle, traffic, config), precondition_error);
+}
+
+TEST(Engine, BothEnginesRejectQueueCapacityAbove2To31) {
+  // Past 2^31 a power-of-two queue bound (std::bit_ceil) is undefined;
+  // both packet engines refuse the config up front, naming the field.
+  const Network net = build_kary_ntree(2, 2);
+  const KaryDmodkRouter router(net, 2, 2);
+  ShardRouterOracle oracle(router);
+  const auto traffic = TrafficPattern::uniform(4);
+  SimConfig config;
+  config.queue_capacity = (std::uint32_t{1} << 31) + 1;
+  const auto expect_rejected = [](const auto& construct) {
+    try {
+      construct();
+      ADD_FAILURE() << "queue_capacity 2^31 + 1 was accepted";
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find("queue_capacity"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected([&] { PacketSim sim(net, oracle, traffic, config); });
+  expect_rejected([&] { ShardedSim sim(net, router, traffic, config, 2); });
+  // 2^31 itself is the largest accepted bound.
+  config.queue_capacity = std::uint32_t{1} << 31;
+  config.warmup_cycles = 10;
+  config.measure_cycles = 20;
+  config.counter_injection = true;
+  PacketSim serial(net, oracle, traffic, config);
+  ShardedSim sharded(net, router, traffic, config, 2);
+  EXPECT_TRUE(serial.run() == sharded.run());
 }
 
 TEST(Engine, TrafficSizeMustMatchNetwork) {

@@ -14,6 +14,8 @@
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/core/multilevel.hpp"
 #include "nbclos/obs/flight_recorder.hpp"
+#include "nbclos/routing/route_cache.hpp"
+#include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/engine.hpp"
 #include "nbclos/sim/shard_router.hpp"
 #include "nbclos/sim/sharded.hpp"
@@ -199,6 +201,69 @@ TEST(ShardedSim, ConservesPacketsAndCountsCrossShardTraffic) {
   EXPECT_EQ(single.telemetry().remaining_packets,
             quad.telemetry().remaining_packets);
   EXPECT_GT(quad.arena_bytes(), 0U);
+}
+
+TEST(ShardedSim, ArenaFollowsQueueOccupancyNotCapacity) {
+  // Theorem 3 routes keep ideal-reference queues a few packets deep, so
+  // the 1024-deep switch queues must cost ring slots only where packets
+  // actually waited — far below the dense switch_channels x 1024 figure.
+  const FoldedClos ft(FtreeParams{4, 16, 32});
+  const Network net = build_network(ft);
+  const YuanNonblockingRouting thm3(ft);
+  const auto cache = routing::ChannelRouteCache::materialize(net, thm3);
+  CachedShardRouter router(cache);
+  const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
+  const auto traffic = TrafficPattern::permutation(
+      shift_permutation(terminals, 37), terminals);
+  SimConfig config = SimConfig::ideal_reference(0.9, 20261017);
+  config.warmup_cycles = 400;
+  config.measure_cycles = 1600;
+  config.counter_injection = true;
+  std::size_t switch_channels = 0;
+  for (std::uint32_t c = 0; c < net.channel_count(); ++c) {
+    if (net.vertex(net.channel_src(c)).kind != VertexKind::kTerminal) {
+      ++switch_channels;
+    }
+  }
+  const std::size_t dense_bytes = switch_channels *
+                                  SimConfig::kEffectivelyInfiniteQueueCapacity *
+                                  sizeof(Packet);
+  for (const std::uint32_t shards : {1U, 4U}) {
+    ShardedSim sim(net, router, traffic, config, shards);
+    const auto result = sim.run();
+    EXPECT_FALSE(result.saturated()) << "shards=" << shards;
+    EXPECT_LT(sim.arena_bytes(), dense_bytes / 20)
+        << "shards=" << shards << " dense=" << dense_bytes;
+  }
+}
+
+TEST(ShardedSim, RingGrowthAndWraparoundStayBitIdentical) {
+  // Saturated d-mod-k with a non-power-of-two switch bound: switch rings
+  // cap at bit_ceil(3) = 4 slots and wrap constantly, while the NIC
+  // rings back up and double with their head mid-ring.
+  const Network net = build_kary_ntree(4, 3);
+  const KaryDmodkRouter router(net, 4, 3);
+  const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
+  const auto traffic = TrafficPattern::uniform(terminals);
+  SimConfig config = sharded_config(1.0);
+  config.queue_capacity = 3;
+  config.packet_size = 2;
+  ShardRouterOracle oracle(router);
+  PacketSim serial(net, oracle, traffic, config);
+  const auto expect = serial.run();
+  ASSERT_TRUE(expect.saturated());
+  for (const std::uint32_t shards : {1U, 2U, 4U}) {
+    ShardedSim sim(net, router, traffic, config, shards);
+    const auto got = sim.run();
+    const auto label = "growth shards=" + std::to_string(shards);
+    expect_identical(got, expect, label.c_str());
+    EXPECT_EQ(sim.link_busy_flits(), serial.link_busy_flits()) << label;
+    // More packets are left than every flight register, switch ring and
+    // first-size NIC ring together can hold, so some NIC ring doubled.
+    const std::size_t first_size_slots =
+        net.channel_count() * (1 + config.queue_capacity) + terminals * 16;
+    EXPECT_GT(sim.telemetry().remaining_packets, first_size_slots) << label;
+  }
 }
 
 TEST(ShardedSim, LoadSweepShardedMatchesSingleShardSweep) {
