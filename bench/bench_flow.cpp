@@ -131,18 +131,22 @@ int main(int argc, char** argv) {
 
     struct RoutingCase {
       const char* key;
-      std::shared_ptr<const nbclos::routing::ChannelRouteCache> cache;
+      std::shared_ptr<const nbclos::flow::RouteSource> routes;
     };
     using nbclos::routing::ChannelRouteCache;
+    const auto table = [](std::shared_ptr<const ChannelRouteCache> cache) {
+      return std::make_shared<const nbclos::flow::RouteSource>(
+          std::move(cache));
+    };
     std::vector<RoutingCase> routings = {
-        {"thm3", std::make_shared<const ChannelRouteCache>(
-                     ChannelRouteCache::materialize(net, yuan))},
-        {"dmodk", std::make_shared<const ChannelRouteCache>(
-                      ChannelRouteCache::materialize(net, dmodk))},
+        {"thm3", table(std::make_shared<const ChannelRouteCache>(
+                     ChannelRouteCache::materialize(net, yuan)))},
+        {"dmodk", table(std::make_shared<const ChannelRouteCache>(
+                      ChannelRouteCache::materialize(net, dmodk)))},
     };
     auto adaptive = make_adaptive_cache(ft, net, yuan, pattern);
     report.verdict(p + "adaptive.schedule_fits", adaptive != nullptr);
-    if (adaptive) routings.push_back({"adaptive", std::move(adaptive)});
+    if (adaptive) routings.push_back({"adaptive", table(std::move(adaptive))});
 
     // --- engine throughput: simulated cycles per wall second ----------
     for (const bool vct : {false, true}) {
@@ -156,7 +160,7 @@ int main(int argc, char** argv) {
       config.measure_cycles = measure;
       nbclos::flow::FlowResult result;
       const double secs = nbclos::bench::best_of(kTimingReps, [&] {
-        nbclos::flow::FlowSim sim(routings[0].cache, traffic, config);
+        nbclos::flow::FlowSim sim(routings[0].routes, traffic, config);
         result = sim.run();
       });
       const double cycles = static_cast<double>(warmup + measure);
@@ -193,7 +197,7 @@ int main(int argc, char** argv) {
         config.base.measure_cycles = measure;
         config.base.seed = 42;
         const auto sweep = nbclos::analysis::buffer_margin_sweep(
-            routing.cache, traffic, config, &pool);
+            routing.routes, traffic, config, &pool);
         const std::string q = p + "margin." + routing.key +
                               (vct ? "_vct." : "_wormhole.");
         report.metric(q + "min_flits_nonblocking",

@@ -157,11 +157,12 @@ int main(int argc, char** argv) {
     report.param(p + "warmup_cycles", c.warmup);
     report.param(p + "measure_cycles", c.measure);
     report.metric(p + "route_cache_bytes", cache->bytes(), "bytes");
+    const auto routes = std::make_shared<const flow::RouteSource>(cache);
 
     // --- serial reference: the identity baseline and the speedup denom.
     flow::FlowResult serial{};
     const double serial_secs = bench::best_of(kTimingReps, [&] {
-      flow::FlowSim sim(cache, traffic, config);
+      flow::FlowSim sim(routes, traffic, config);
       serial = sim.run();
     });
     report.verdict(p + "serial.no_deadlock", !serial.deadlocked);
@@ -178,7 +179,7 @@ int main(int argc, char** argv) {
       flow::ShardedFlowSim::Telemetry telemetry{};
       std::size_t arena_bytes = 0;
       const double secs = bench::best_of(kTimingReps, [&] {
-        flow::ShardedFlowSim sim(cache, traffic, config, shards);
+        flow::ShardedFlowSim sim(routes, traffic, config, shards);
         result = sim.run();
         telemetry = sim.telemetry();
         arena_bytes = sim.arena_bytes();
@@ -213,7 +214,7 @@ int main(int argc, char** argv) {
       margin.base.switching = vct ? flow::Switching::kVirtualCutThrough
                                   : flow::Switching::kWormhole;
       const auto bisect =
-          analysis::buffer_margin_bisect(cache, traffic, margin, 8);
+          analysis::buffer_margin_bisect(routes, traffic, margin, 8);
       const std::string q = p + "margin." + (vct ? "vct." : "wormhole.");
       report.verdict(q + "sustains_probe", bisect.min_flits_nonblocking != 0);
       report.metric(q + "min_flits_nonblocking", bisect.min_flits_nonblocking,
@@ -258,7 +259,7 @@ int main(int argc, char** argv) {
       const auto terminals =
           static_cast<std::uint32_t>(net.terminals().size());
       const auto routes =
-          std::make_shared<const flow::PureRouteSource>(
+          std::make_shared<const flow::RouteSource>(
               net, std::make_shared<const sim::KaryDmodkRouter>(net, pt.k,
                                                                 pt.h));
       const auto traffic = sim::TrafficPattern::permutation(
@@ -324,7 +325,7 @@ int main(int argc, char** argv) {
       const Network net = build_kary_ntree(k, h);
       const auto terminals =
           static_cast<std::uint32_t>(net.terminals().size());
-      const auto routes = std::make_shared<const flow::PureRouteSource>(
+      const auto routes = std::make_shared<const flow::RouteSource>(
           net, std::make_shared<const sim::KaryDmodkRouter>(net, k, h));
       const auto traffic = sim::TrafficPattern::permutation(
           shift_permutation(terminals, 7), terminals);
@@ -353,8 +354,9 @@ int main(int argc, char** argv) {
     const FoldedClos ftree(FtreeParams{4, 16, 16});
     const Network net = build_network(ftree);
     const YuanNonblockingRouting yuan(ftree);
-    const auto cache = std::make_shared<const routing::ChannelRouteCache>(
-        routing::ChannelRouteCache::materialize(net, yuan));
+    const auto routes = std::make_shared<const flow::RouteSource>(
+        std::make_shared<const routing::ChannelRouteCache>(
+            routing::ChannelRouteCache::materialize(net, yuan)));
     const auto terminals = ftree.leaf_count();
     const auto traffic = sim::TrafficPattern::permutation(
         shift_permutation(terminals, 5), terminals);
@@ -372,7 +374,7 @@ int main(int argc, char** argv) {
     flow::FlowResult serial{};
     std::vector<obs::MergedSeries> serial_series;
     const auto run_serial = [&] {
-      flow::FlowSim sim(cache, traffic, config);
+      flow::FlowSim sim(routes, traffic, config);
       serial = sim.run();
       serial_series.clear();
       for (auto& series : sim.recorder().merged()) {
@@ -405,7 +407,7 @@ int main(int argc, char** argv) {
                     kRecorderOverheadCapPct);
     }
     for (const auto shards : shard_counts) {
-      flow::ShardedFlowSim sim(cache, traffic, config, shards);
+      flow::ShardedFlowSim sim(routes, traffic, config, shards);
       const auto result = sim.run();
       std::vector<obs::MergedSeries> got;
       for (auto& series : sim.recorder().merged()) {

@@ -15,7 +15,7 @@
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/core/multilevel.hpp"
 #include "nbclos/sim/engine.hpp"
-#include "nbclos/sim/path_oracle.hpp"
+#include "nbclos/sim/shard_router.hpp"
 #include "nbclos/util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -50,9 +50,10 @@ int main(int argc, char** argv) {
   {
     const nbclos::MultiLevelFabric fabric(2, 3);
     const auto& net = fabric.network();
-    nbclos::sim::ExplicitPathOracle oracle(
-        net, [&fabric](nbclos::SDPair sd) { return fabric.route(sd); },
-        "multilevel");
+    const nbclos::routing::ChannelRouteCache cache(
+        net, [&fabric](nbclos::SDPair sd) { return fabric.route(sd); });
+    const nbclos::sim::CachedShardRouter router(cache);
+    nbclos::sim::ShardRouterOracle oracle(router);
     const auto pattern =
         nbclos::shift_permutation(fabric.port_count(), 7);
     const auto traffic = nbclos::sim::TrafficPattern::permutation(

@@ -40,6 +40,7 @@
 #include "nbclos/util/check.hpp"
 #include "nbclos/util/json.hpp"
 #include "nbclos/util/parse.hpp"
+#include "nbclos/util/thread_pool.hpp"
 
 namespace nbclos::bench {
 
@@ -72,7 +73,8 @@ inline Args parse_args(int argc, char** argv) {
       } else if (flag == "--cycles") {
         args.cycles = parse_count<std::uint64_t>(value(), flag);
       } else if (flag == "--threads") {
-        args.threads = parse_count<std::uint32_t>(value(), flag);
+        args.threads = parse_count<std::uint32_t>(
+            value(), flag, static_cast<std::uint32_t>(ThreadPool::kMaxThreads));
       } else {
         throw std::invalid_argument("unknown flag '" + flag + "'");
       }

@@ -67,11 +67,6 @@ struct BufferMarginResult {
     const std::shared_ptr<const flow::RouteSource>& routes,
     const sim::TrafficPattern& traffic, const BufferMarginConfig& config,
     ThreadPool* pool = nullptr);
-/// Route-cache convenience overload (wraps a CacheRouteSource).
-[[nodiscard]] BufferMarginResult buffer_margin_sweep(
-    const std::shared_ptr<const routing::ChannelRouteCache>& routes,
-    const sim::TrafficPattern& traffic, const BufferMarginConfig& config,
-    ThreadPool* pool = nullptr);
 
 /// Early-exit bisection over the same depth grid: find the margin with
 /// O(log N) probes instead of N, each probe a `flow::ShardedFlowSim` run
@@ -85,11 +80,6 @@ struct BufferMarginResult {
 /// 12-point grid costs 4 probes.
 [[nodiscard]] BufferMarginResult buffer_margin_bisect(
     const std::shared_ptr<const flow::RouteSource>& routes,
-    const sim::TrafficPattern& traffic, const BufferMarginConfig& config,
-    std::uint32_t shards = 1);
-/// Route-cache convenience overload (wraps a CacheRouteSource).
-[[nodiscard]] BufferMarginResult buffer_margin_bisect(
-    const std::shared_ptr<const routing::ChannelRouteCache>& routes,
     const sim::TrafficPattern& traffic, const BufferMarginConfig& config,
     std::uint32_t shards = 1);
 

@@ -59,7 +59,6 @@
 #include "nbclos/flow/route_source.hpp"
 #include "nbclos/obs/flight_recorder.hpp"
 #include "nbclos/obs/metrics.hpp"
-#include "nbclos/routing/route_cache.hpp"
 #include "nbclos/sim/traffic.hpp"
 #include "nbclos/topology/network.hpp"
 #include "nbclos/util/prng.hpp"
@@ -167,8 +166,10 @@ void finalize_forensics(DeadlockForensics& forensics);
 
 class FlowSim {
  public:
-  /// The cache pins the Network and the routing; it is shared read-only
-  /// across the sweep workers, so it arrives as a shared_ptr.
+  /// The route source pins the Network and the routing; it is shared
+  /// read-only across the sweep workers, so it arrives as a shared_ptr.
+  /// With an arithmetic router no O(T^2) pair table is ever built, which
+  /// is what lets a run reach 10^6 terminals.
   ///
   /// Optional faults: `degraded` seeds a PRIVATE copy of the liveness
   /// mask (the caller's view is never mutated — unlike PacketSim) and
@@ -178,14 +179,6 @@ class FlowSim {
   /// flit whose route leads into a dead channel stalls as a credit
   /// block, and only injection onto a dead NIC uplink drops the packet
   /// (FlowResult::dropped_packets).
-  FlowSim(std::shared_ptr<const routing::ChannelRouteCache> routes,
-          const sim::TrafficPattern& traffic, FlowConfig config,
-          const fault::DegradedView* degraded = nullptr,
-          std::vector<fault::FaultEvent> fault_events = {});
-
-  /// Same engine over any RouteSource — with a PureRouteSource this is
-  /// the only constructor that works at 10^6 terminals (no O(T^2) pair
-  /// table is ever built).
   FlowSim(std::shared_ptr<const RouteSource> routes,
           const sim::TrafficPattern& traffic, FlowConfig config,
           const fault::DegradedView* degraded = nullptr,
@@ -385,12 +378,6 @@ class FlowSim {
 /// Run one FlowSim per injection rate over `pool` (nullptr = serial).
 /// Each run is fully determined by its config, so the results are
 /// field-for-field identical at any thread count.
-[[nodiscard]] std::vector<FlowResult> flow_load_sweep(
-    const std::shared_ptr<const routing::ChannelRouteCache>& routes,
-    const sim::TrafficPattern& traffic, const FlowConfig& base,
-    const std::vector<double>& rates, ThreadPool* pool);
-
-/// RouteSource-generic sweep (the cache overload wraps and delegates).
 [[nodiscard]] std::vector<FlowResult> flow_load_sweep(
     const std::shared_ptr<const RouteSource>& routes,
     const sim::TrafficPattern& traffic, const FlowConfig& base,

@@ -68,7 +68,6 @@
 #include "nbclos/fault/degraded_view.hpp"
 #include "nbclos/flow/config.hpp"
 #include "nbclos/flow/engine.hpp"
-#include "nbclos/routing/route_cache.hpp"
 #include "nbclos/sim/shard_exchange.hpp"
 #include "nbclos/sim/traffic.hpp"
 
@@ -89,12 +88,6 @@ class ShardedFlowSim {
   /// diverge).  Injection always uses the counter-based RNG; pinning and
   /// first-touch arena placement follow `FlowConfig::pin_shards`.
   ShardedFlowSim(std::shared_ptr<const RouteSource> routes,
-                 const sim::TrafficPattern& traffic, FlowConfig config,
-                 std::uint32_t shards,
-                 const fault::DegradedView* degraded = nullptr,
-                 std::vector<fault::FaultEvent> fault_events = {});
-  /// Historical entry point: wrap the route cache in a CacheRouteSource.
-  ShardedFlowSim(std::shared_ptr<const routing::ChannelRouteCache> routes,
                  const sim::TrafficPattern& traffic, FlowConfig config,
                  std::uint32_t shards,
                  const fault::DegradedView* degraded = nullptr,

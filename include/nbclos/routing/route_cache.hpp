@@ -112,10 +112,11 @@ class RouteCache {
 /// the same CSR layout, plus the dense next-hop lookup the packet
 /// simulator needs (replacing the old per-hop hash map).
 ///
-/// Storage is a `U32Store`: heap-backed by default, or spilled to an
-/// unlinked mmap'd file when the `NBCLOS_MMAP_CACHE` environment
-/// variable names a backing directory (see util/mmap_arena.hpp) — route
-/// tables past ~10^5 terminals are O(T^2) and otherwise exceed RAM.
+/// Storage is a `FlatStore<std::uint32_t>`: heap-backed by default, or
+/// spilled to an unlinked mmap'd file when the `NBCLOS_MMAP_CACHE`
+/// environment variable names a backing directory (see
+/// util/mmap_arena.hpp) — route tables past ~10^5 terminals are O(T^2)
+/// and otherwise exceed RAM.
 class ChannelRouteCache {
  public:
   /// Route function over terminal *indices* (positions in
@@ -185,8 +186,8 @@ class ChannelRouteCache {
   const Network* net_;
   std::uint32_t terminals_ = 0;
   std::vector<std::uint32_t> terminal_index_;  ///< vertex id -> terminal index
-  U32Store offsets_;                           ///< terminals^2 + 1, src-major
-  U32Store channels_;                          ///< all runs, back to back
+  FlatStore<std::uint32_t> offsets_;   ///< terminals^2 + 1, src-major
+  FlatStore<std::uint32_t> channels_;  ///< all runs, back to back
 };
 
 /// Per-shard CSR slice of a ChannelRouteCache: for every terminal pair,

@@ -1,21 +1,26 @@
 /// \file shard_router.hpp
-/// \brief Pure (stateless, thread-safe) next-hop providers for the
-///        sharded simulation engine.
+/// \brief The library's one pure next-hop interface: (vertex, packet) ->
+///        outgoing channel, with no state, RNG or queue view.
 ///
-/// `ShardedSim` consults the router concurrently from every shard
-/// worker, so the routing decision must be a pure function of
-/// (vertex, packet): no SimView, no internal RNG, no mutation.  That
-/// rules out the adaptive and random `RoutingOracle` policies by design
-/// — a distributed simulation can only be bit-identical to a serial one
-/// when per-hop decisions do not depend on global queue state.  Three
-/// routers cover the library's deterministic policies:
+/// Every deterministic single-path routing runs through a `ShardRouter`.
+/// The sharded engines consult it concurrently from every shard worker,
+/// the flow engines through `flow::RouteSource`, and `PacketSim` through
+/// `ShardRouterOracle`.  Because the decision is a pure function of
+/// (vertex, packet), a distributed run can be bit-identical to a serial
+/// one; the random, least-queue and fault-tolerant `RoutingOracle`
+/// policies read queue state and stay outside this interface by design.
+/// Three arithmetic implementations hold no per-pair state, and one
+/// replays a table:
 ///
 ///   * `KaryDmodkRouter`  — O(1) digit arithmetic on `build_kary_ntree`
 ///     networks, reproducing `KaryTreeRouter::route` paths without
 ///     materializing any table (the per-pair `ChannelRouteCache` is
 ///     O(T^2) and simply cannot exist at 10^6 terminals);
 ///   * `FtreeDmodkRouter` — O(1) index arithmetic on `build_network`
-///     ftree fabrics (d-mod-k uplinks, forced descent);
+///     ftree fabrics (d-mod-k uplinks, forced descent), the paths of
+///     `DModKRouting`;
+///   * `RecursiveShardRouter` — the recursive Theorem 3 rule of a
+///     `MultiLevelFabric`, re-derived per hop;
 ///   * `CachedShardRouter` — replays any deterministic single-path
 ///     routing from a shared read-only `ChannelRouteCache`, optionally
 ///     through per-shard CSR views for arena locality.
@@ -25,6 +30,7 @@
 /// the golden tests prove `ShardedSim(k) == PacketSim` bit-for-bit.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -47,6 +53,8 @@ class ShardRouter {
   /// switch), or fault::kNoRoute when the policy has no next hop.
   [[nodiscard]] virtual std::uint32_t next_channel(
       std::uint32_t vertex, const Packet& packet) const = 0;
+  /// Resident bytes of routing state; arithmetic routers hold none.
+  [[nodiscard]] virtual std::size_t bytes() const { return 0; }
 };
 
 /// Destination-keyed up*/down* routing on `build_kary_ntree(k, h)`
@@ -143,9 +151,11 @@ class CachedShardRouter final : public ShardRouter {
   /// then go through the view of the shard owning that vertex.
   void attach_views(std::span<const std::uint32_t> vertex_begin);
 
-  [[nodiscard]] std::string name() const override { return "cached"; }
+  [[nodiscard]] std::string name() const override { return "route-cache"; }
   [[nodiscard]] std::uint32_t next_channel(
       std::uint32_t vertex, const Packet& packet) const override;
+  /// The table's bytes plus those of any attached views.
+  [[nodiscard]] std::size_t bytes() const override;
 
   [[nodiscard]] const std::vector<routing::ShardRouteView>& views() const {
     return views_;

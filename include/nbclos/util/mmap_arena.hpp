@@ -19,9 +19,6 @@
 /// the directory itself.  On non-Linux platforms, or when the backing
 /// file cannot be created, the store silently falls back to the heap —
 /// the contents and the API behave identically either way.
-///
-/// `U32Store` is the historical `std::uint32_t` instantiation and keeps
-/// its name because route tables predate the template.
 #pragma once
 
 #include <cstddef>
@@ -288,7 +285,5 @@ class FlatStore {
   std::size_t map_capacity_ = 0;
 #endif
 };
-
-using U32Store = FlatStore<std::uint32_t>;
 
 }  // namespace nbclos

@@ -24,7 +24,13 @@ namespace nbclos {
 
 class ThreadPool {
  public:
-  /// Spawn `threads` workers; 0 means hardware_concurrency (minimum 1).
+  /// Most workers one pool starts.  A larger explicit count is a typo or
+  /// a wrapped value, not a machine, and is refused before any thread
+  /// starts; command-line thread counts are parsed against it too.
+  static constexpr std::size_t kMaxThreads = 256;
+
+  /// Spawn `threads` workers; 0 means hardware_concurrency (minimum 1,
+  /// at most kMaxThreads).  Throws precondition_error above kMaxThreads.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

@@ -161,24 +161,4 @@ BufferMarginResult buffer_margin_bisect(
   return result;
 }
 
-BufferMarginResult buffer_margin_sweep(
-    const std::shared_ptr<const routing::ChannelRouteCache>& routes,
-    const sim::TrafficPattern& traffic, const BufferMarginConfig& config,
-    ThreadPool* pool) {
-  return buffer_margin_sweep(
-      std::static_pointer_cast<const flow::RouteSource>(
-          std::make_shared<const flow::CacheRouteSource>(routes)),
-      traffic, config, pool);
-}
-
-BufferMarginResult buffer_margin_bisect(
-    const std::shared_ptr<const routing::ChannelRouteCache>& routes,
-    const sim::TrafficPattern& traffic, const BufferMarginConfig& config,
-    std::uint32_t shards) {
-  return buffer_margin_bisect(
-      std::static_pointer_cast<const flow::RouteSource>(
-          std::make_shared<const flow::CacheRouteSource>(routes)),
-      traffic, config, shards);
-}
-
 }  // namespace nbclos::analysis

@@ -28,14 +28,6 @@ constexpr std::uint64_t kStallHistCap = 1u << 20;
 
 }  // namespace
 
-FlowSim::FlowSim(std::shared_ptr<const routing::ChannelRouteCache> routes,
-                 const sim::TrafficPattern& traffic, FlowConfig config,
-                 const fault::DegradedView* degraded,
-                 std::vector<fault::FaultEvent> fault_events)
-    : FlowSim(std::static_pointer_cast<const RouteSource>(
-                  std::make_shared<const CacheRouteSource>(std::move(routes))),
-              traffic, config, degraded, std::move(fault_events)) {}
-
 FlowSim::FlowSim(std::shared_ptr<const RouteSource> routes,
                  const sim::TrafficPattern& traffic, FlowConfig config,
                  const fault::DegradedView* degraded,
@@ -226,10 +218,9 @@ std::uint32_t FlowSim::allocate_downstream(std::uint32_t from_vc,
                                            std::uint32_t at_vertex,
                                            bool* credit_block) {
   ++route_lookups_;
-  const std::uint32_t nc = routes_->next_channel_from(
-      at_vertex, packet.src_terminal, packet.dst_terminal);
+  const std::uint32_t nc = routes_->router().next_channel(at_vertex, packet);
   NBCLOS_DEBUG_CHECK(net_->channel_src(nc) == at_vertex,
-                     "route cache returned a foreign channel");
+                     "router returned a foreign channel");
   // A dead next channel blocks the head in place (fail-stop: the worm
   // waits, it is never purged) — accounted as a credit stall.
   if (!channel_usable(nc)) {
@@ -396,8 +387,8 @@ void FlowSim::inject_packet(std::uint32_t t, std::uint32_t dst) {
   packet.injected_cycle = now_;
   packet.flow_sequence = flow_sequence_[t]++;
   ++route_lookups_;
-  const std::uint32_t first = routes_->next_channel_from(
-      terminal_vertices_[t], packet.src_terminal, packet.dst_terminal);
+  const std::uint32_t first =
+      routes_->router().next_channel(terminal_vertices_[t], packet);
   NBCLOS_DEBUG_CHECK(is_nic_[first] != 0,
                      "first hop must leave through the source NIC");
   ++injected_;
@@ -559,8 +550,8 @@ void FlowSim::capture_forensics() {
         // Head waiting to allocate: name the scan's first candidate —
         // next channel from the route source, scan-start VC.
         const sim::Packet& packet = packets_.at(head.packet_slot);
-        const std::uint32_t nc = routes_->next_channel_from(
-            channel_dst_[c], packet.src_terminal, packet.dst_terminal);
+        const std::uint32_t nc =
+            routes_->router().next_channel(channel_dst_[c], packet);
         const std::uint32_t from_vc =
             b < switch_buffer_count_ ? b - buf_base_[c] : 0u;
         report.waiting_for =
@@ -753,16 +744,6 @@ std::vector<FlowResult> flow_load_sweep(
     for (std::size_t i = 0; i < rates.size(); ++i) run_at(i);
   }
   return results;
-}
-
-std::vector<FlowResult> flow_load_sweep(
-    const std::shared_ptr<const routing::ChannelRouteCache>& routes,
-    const sim::TrafficPattern& traffic, const FlowConfig& base,
-    const std::vector<double>& rates, ThreadPool* pool) {
-  return flow_load_sweep(
-      std::static_pointer_cast<const RouteSource>(
-          std::make_shared<const CacheRouteSource>(routes)),
-      traffic, base, rates, pool);
 }
 
 }  // namespace nbclos::flow

@@ -120,17 +120,6 @@ struct ShardedFlowSim::Shard {
 };
 
 ShardedFlowSim::ShardedFlowSim(
-    std::shared_ptr<const routing::ChannelRouteCache> routes,
-    const sim::TrafficPattern& traffic, FlowConfig config,
-    std::uint32_t shards, const fault::DegradedView* degraded,
-    std::vector<fault::FaultEvent> fault_events)
-    : ShardedFlowSim(std::static_pointer_cast<const RouteSource>(
-                         std::make_shared<const CacheRouteSource>(
-                             std::move(routes))),
-                     traffic, config, shards, degraded,
-                     std::move(fault_events)) {}
-
-ShardedFlowSim::ShardedFlowSim(
     std::shared_ptr<const RouteSource> routes,
     const sim::TrafficPattern& traffic, FlowConfig config,
     std::uint32_t shards, const fault::DegradedView* degraded,
@@ -509,10 +498,9 @@ std::uint32_t ShardedFlowSim::allocate_downstream(Shard& sh,
                                                   std::uint32_t at_vertex,
                                                   bool* credit_block) {
   ++sh.route_lookups;
-  const std::uint32_t nc = routes_->next_channel_from(
-      at_vertex, packet.src_terminal, packet.dst_terminal);
+  const std::uint32_t nc = routes_->router().next_channel(at_vertex, packet);
   NBCLOS_DEBUG_CHECK(net_->channel_src(nc) == at_vertex,
-                     "route cache returned a foreign channel");
+                     "router returned a foreign channel");
   // A dead next channel blocks the head in place (fail-stop: the worm
   // waits, it is never purged) — accounted as a credit stall.
   if (sh.degraded.has_value() && !sh.degraded->channel_alive(nc)) {
@@ -735,8 +723,7 @@ void ShardedFlowSim::phase_owner_post(Shard& sh, std::uint64_t now) {
     packet.injected_cycle = now;
     packet.flow_sequence = sh.flow_sequence[t - sh.term_lo]++;
     ++sh.route_lookups;
-    const std::uint32_t first =
-        routes_->next_channel_from(t, packet.src_terminal, packet.dst_terminal);
+    const std::uint32_t first = routes_->router().next_channel(t, packet);
     NBCLOS_DEBUG_CHECK(is_nic_[first] != 0,
                        "first hop must leave through the source NIC");
     NBCLOS_ASSERT(plan_.channel_owner[first] == sh.index);
@@ -1097,8 +1084,8 @@ void ShardedFlowSim::capture_forensics() {
           report.waiting_for = sl.out_alloc;  // global id already
         } else if (!dst_is_terminal_[c]) {
           const sim::Packet& packet = sh.packets.at(head.packet_slot);
-          const std::uint32_t nc = routes_->next_channel_from(
-              channel_dst_[c], packet.src_terminal, packet.dst_terminal);
+          const std::uint32_t nc =
+              routes_->router().next_channel(channel_dst_[c], packet);
           report.waiting_for =
               buf_base_[nc] + (is_nic_[nc] ? 0u : v % config_.vcs);
         }

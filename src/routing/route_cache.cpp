@@ -63,9 +63,9 @@ void RouteCache::note_lookups(std::uint64_t n) {
 ChannelRouteCache::ChannelRouteCache(const Network& net, const RouteFn& route)
     : net_(&net) {
   // Optional mmap spill for tables that exceed RAM (NBCLOS_MMAP_CACHE).
-  if (const auto dir = U32Store::mmap_cache_dir()) {
-    offsets_ = U32Store(*dir);
-    channels_ = U32Store(*dir);
+  if (const auto dir = FlatStore<std::uint32_t>::mmap_cache_dir()) {
+    offsets_ = FlatStore<std::uint32_t>(*dir);
+    channels_ = FlatStore<std::uint32_t>(*dir);
   }
   const auto terminal_vertices = net.terminals();
   terminals_ = static_cast<std::uint32_t>(terminal_vertices.size());

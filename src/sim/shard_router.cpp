@@ -114,6 +114,12 @@ void CachedShardRouter::attach_views(
   }
 }
 
+std::size_t CachedShardRouter::bytes() const {
+  std::size_t total = cache_->bytes();
+  for (const auto& view : views_) total += view.bytes();
+  return total;
+}
+
 std::uint32_t CachedShardRouter::next_channel(std::uint32_t vertex,
                                               const Packet& packet) const {
   if (views_.empty()) {

@@ -1,6 +1,7 @@
 #include "nbclos/util/thread_pool.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "nbclos/obs/metrics.hpp"
 #include "nbclos/util/check.hpp"
@@ -8,8 +9,12 @@
 namespace nbclos {
 
 ThreadPool::ThreadPool(std::size_t threads) {
+  NBCLOS_REQUIRE(threads <= kMaxThreads,
+                 std::to_string(threads) + " worker threads exceeds the cap of " +
+                     std::to_string(kMaxThreads));
   if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    threads = std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1,
+                                      kMaxThreads);
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {

@@ -29,8 +29,9 @@ class BufferMargin : public ::testing::Test {
       : ft(FtreeParams{2, 4, 3}),
         net(build_network(ft)),
         yuan(ft),
-        cache(std::make_shared<const routing::ChannelRouteCache>(
-            routing::ChannelRouteCache::materialize(net, yuan))),
+        routes(std::make_shared<const flow::RouteSource>(
+            std::make_shared<const routing::ChannelRouteCache>(
+                routing::ChannelRouteCache::materialize(net, yuan)))),
         traffic(sim::TrafficPattern::permutation(
             shift_permutation(ft.leaf_count(), 1), ft.leaf_count())) {}
 
@@ -48,31 +49,31 @@ class BufferMargin : public ::testing::Test {
   FoldedClos ft;
   Network net;
   YuanNonblockingRouting yuan;
-  std::shared_ptr<const routing::ChannelRouteCache> cache;
+  std::shared_ptr<const flow::RouteSource> routes;
   sim::TrafficPattern traffic;
 };
 
 TEST_F(BufferMargin, RejectsMalformedSweeps) {
   BufferMarginConfig config = margin_config();
   config.buffer_sizes = {};
-  EXPECT_THROW(buffer_margin_sweep(cache, traffic, config),
+  EXPECT_THROW(buffer_margin_sweep(routes, traffic, config),
                precondition_error);
   config = margin_config();
   config.buffer_sizes = {4, 4, 8};  // not strictly ascending
-  EXPECT_THROW(buffer_margin_sweep(cache, traffic, config),
+  EXPECT_THROW(buffer_margin_sweep(routes, traffic, config),
                precondition_error);
   config = margin_config();
   config.probe_load = 0.0;
-  EXPECT_THROW(buffer_margin_sweep(cache, traffic, config),
+  EXPECT_THROW(buffer_margin_sweep(routes, traffic, config),
                precondition_error);
   config = margin_config();
   config.sustain_fraction = 1.5;
-  EXPECT_THROW(buffer_margin_sweep(cache, traffic, config),
+  EXPECT_THROW(buffer_margin_sweep(routes, traffic, config),
                precondition_error);
 }
 
 TEST_F(BufferMargin, FindsAFiniteMarginOnTheNonblockingRouting) {
-  const auto result = buffer_margin_sweep(cache, traffic, margin_config());
+  const auto result = buffer_margin_sweep(routes, traffic, margin_config());
   ASSERT_EQ(result.points.size(), 5U);
   // Contention-free routing with generous buffers must sustain the load:
   // the curve reaches "sustained" somewhere in the probed range.
@@ -95,7 +96,7 @@ TEST_F(BufferMargin, FindsAFiniteMarginOnTheNonblockingRouting) {
 }
 
 TEST_F(BufferMargin, ThroughputImprovesWithDepthUpToTheMargin) {
-  const auto result = buffer_margin_sweep(cache, traffic, margin_config());
+  const auto result = buffer_margin_sweep(routes, traffic, margin_config());
   // Deeper buffers never hurt on a contention-free routing: accepted
   // throughput is non-decreasing along the probed depths (within one
   // packet of slack the discrete simulator can introduce).
@@ -111,7 +112,7 @@ TEST_F(BufferMargin, MarksDepthsBelowTheVctFloorInfeasible) {
   config.base.switching = Switching::kVirtualCutThrough;
   config.base.packet_flits = 4;
   config.buffer_sizes = {1, 2, 4, 8};
-  const auto result = buffer_margin_sweep(cache, traffic, config);
+  const auto result = buffer_margin_sweep(routes, traffic, config);
   ASSERT_EQ(result.points.size(), 4U);
   // Depths 1 and 2 cannot hold a whole 4-flit packet: recorded as
   // infeasible, never run, never sustained.
@@ -133,7 +134,7 @@ TEST_F(BufferMargin, SingleFlitPacketsNeedOnlyShallowBuffers) {
   BufferMarginConfig config = margin_config();
   config.base.packet_flits = 1;
   config.buffer_sizes = {1, 2, 4};
-  const auto result = buffer_margin_sweep(cache, traffic, config);
+  const auto result = buffer_margin_sweep(routes, traffic, config);
   EXPECT_GT(result.min_flits_nonblocking, 0U);
   EXPECT_LE(result.min_flits_nonblocking, 4U);
 }
@@ -145,11 +146,11 @@ TEST_F(BufferMargin, BisectionMatchesTheFullSweepAtEveryShardCount) {
   // must get there in O(log N) probes at every shard count.
   BufferMarginConfig config = margin_config();
   config.base.counter_injection = true;
-  const auto sweep = buffer_margin_sweep(cache, traffic, config);
+  const auto sweep = buffer_margin_sweep(routes, traffic, config);
   ASSERT_GT(sweep.min_flits_nonblocking, 0U);
   for (const std::uint32_t shards : {1U, 2U, 4U}) {
     const auto bisect =
-        analysis::buffer_margin_bisect(cache, traffic, config, shards);
+        analysis::buffer_margin_bisect(routes, traffic, config, shards);
     EXPECT_EQ(bisect.min_flits_nonblocking, sweep.min_flits_nonblocking)
         << "shards=" << shards;
     EXPECT_LE(bisect.points.size(), 4U) << "log2(5) probes + boundary";
@@ -172,7 +173,7 @@ TEST_F(BufferMargin, BisectionReportsZeroWhenNoDepthSustains) {
   config.base.packet_flits = 8;
   config.base.credit_delay = 8;
   config.buffer_sizes = {1};
-  const auto result = analysis::buffer_margin_bisect(cache, traffic, config, 2);
+  const auto result = analysis::buffer_margin_bisect(routes, traffic, config, 2);
   ASSERT_EQ(result.points.size(), 1U);
   EXPECT_FALSE(result.points[0].sustained);
   EXPECT_EQ(result.min_flits_nonblocking, 0U);
@@ -188,7 +189,7 @@ TEST_F(BufferMargin, ReportsZeroWhenNoDepthSustains) {
   config.base.packet_flits = 8;
   config.base.credit_delay = 8;
   config.buffer_sizes = {1};
-  const auto result = buffer_margin_sweep(cache, traffic, config);
+  const auto result = buffer_margin_sweep(routes, traffic, config);
   ASSERT_EQ(result.points.size(), 1U);
   EXPECT_TRUE(result.points[0].feasible);
   EXPECT_FALSE(result.points[0].sustained);

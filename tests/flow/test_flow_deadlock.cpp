@@ -51,23 +51,24 @@ struct RingFabric {
     // Every pair routes clockwise: up at the source, around the ring to
     // the destination switch, then down.  The ring channels therefore
     // depend on each other cyclically — by design.
-    cache = std::make_shared<const routing::ChannelRouteCache>(
-        net, [this](SDPair sd) {
-          std::vector<std::uint32_t> path{nic[sd.src.value]};
-          for (std::uint32_t at = sd.src.value; at != sd.dst.value;
-               at = (at + 1) % kRing) {
-            path.push_back(ring[at]);
-          }
-          path.push_back(eject[sd.dst.value]);
-          return path;
-        });
+    routes = std::make_shared<const flow::RouteSource>(
+        std::make_shared<const routing::ChannelRouteCache>(
+            net, [this](SDPair sd) {
+              std::vector<std::uint32_t> path{nic[sd.src.value]};
+              for (std::uint32_t at = sd.src.value; at != sd.dst.value;
+                   at = (at + 1) % kRing) {
+                path.push_back(ring[at]);
+              }
+              path.push_back(eject[sd.dst.value]);
+              return path;
+            }));
   }
 
   Network net;
   std::uint32_t nic[kRing];
   std::uint32_t eject[kRing];
   std::uint32_t ring[kRing];
-  std::shared_ptr<const routing::ChannelRouteCache> cache;
+  std::shared_ptr<const flow::RouteSource> routes;
 };
 
 /// All four terminals flood their antipode: every route crosses two ring
@@ -92,7 +93,7 @@ TEST(FlowDeadlock, WatchdogDetectsCyclicWormholeWedge) {
   RingFabric fab;
   const auto traffic =
       sim::TrafficPattern::permutation(shift_permutation(kRing, 2), kRing);
-  FlowSim sim(fab.cache, traffic, wedge_config());
+  FlowSim sim(fab.routes, traffic, wedge_config());
   // run() must RETURN (the watchdog converts the hang into a result)...
   const auto result = sim.run();
   // ...and report the wedge with a usable diagnostic.
@@ -121,7 +122,7 @@ TEST(FlowDeadlock, DeadlockedRunStillSatisfiesCreditConservation) {
   RingFabric fab;
   const auto traffic =
       sim::TrafficPattern::permutation(shift_permutation(kRing, 2), kRing);
-  FlowSim sim(fab.cache, traffic, wedge_config());
+  FlowSim sim(fab.routes, traffic, wedge_config());
   const auto result = sim.run();
   ASSERT_TRUE(result.deadlocked);
   EXPECT_TRUE(sim.credit_conservation_holds());
@@ -138,7 +139,7 @@ TEST(FlowDeadlock, WatchdogAlsoDetectsVirtualCutThroughWedge) {
   FlowConfig config = wedge_config();
   config.switching = Switching::kVirtualCutThrough;
   config.buffer_flits = config.packet_flits;  // VCT floor
-  FlowSim sim(fab.cache, traffic, config);
+  FlowSim sim(fab.routes, traffic, config);
   const auto result = sim.run();
   ASSERT_TRUE(result.deadlocked);
   EXPECT_GT(result.stuck_flits, 0U);
@@ -152,7 +153,7 @@ TEST(FlowDeadlock, SingleFlowOnTheRingIsNotAFalsePositive) {
   RingFabric fab;
   Permutation lone{SDPair{LeafId{0}, LeafId{2}}};
   const auto traffic = sim::TrafficPattern::permutation(lone, kRing);
-  FlowSim sim(fab.cache, traffic, wedge_config());
+  FlowSim sim(fab.routes, traffic, wedge_config());
   const auto result = sim.run();
   EXPECT_FALSE(result.deadlocked);
   EXPECT_GT(result.delivered_packets, 0U);
@@ -165,11 +166,12 @@ TEST(FlowDeadlock, FoldedClosStaysDeadlockFreeUnderTightBuffers) {
   const FoldedClos ft(FtreeParams{2, 4, 3});
   const Network net = build_network(ft);
   const YuanNonblockingRouting yuan(ft);
-  const auto cache = std::make_shared<const routing::ChannelRouteCache>(
-      routing::ChannelRouteCache::materialize(net, yuan));
+  const auto routes = std::make_shared<const flow::RouteSource>(
+      std::make_shared<const routing::ChannelRouteCache>(
+          routing::ChannelRouteCache::materialize(net, yuan)));
   const auto traffic = sim::TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 1), ft.leaf_count());
-  FlowSim sim(cache, traffic, wedge_config());
+  FlowSim sim(routes, traffic, wedge_config());
   const auto result = sim.run();
   EXPECT_FALSE(result.deadlocked);
   EXPECT_GT(result.delivered_packets, 0U);
@@ -182,13 +184,14 @@ TEST(FlowDeadlock, WatchdogDisabledStillTerminatesWhenTrafficDrains) {
   const FoldedClos ft(FtreeParams{2, 4, 3});
   const Network net = build_network(ft);
   const YuanNonblockingRouting yuan(ft);
-  const auto cache = std::make_shared<const routing::ChannelRouteCache>(
-      routing::ChannelRouteCache::materialize(net, yuan));
+  const auto routes = std::make_shared<const flow::RouteSource>(
+      std::make_shared<const routing::ChannelRouteCache>(
+          routing::ChannelRouteCache::materialize(net, yuan)));
   const auto traffic = sim::TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 1), ft.leaf_count());
   FlowConfig config = wedge_config();
   config.watchdog_epoch = 0;
-  FlowSim sim(cache, traffic, config);
+  FlowSim sim(routes, traffic, config);
   const auto result = sim.run();
   EXPECT_FALSE(result.deadlocked);
   EXPECT_GT(result.delivered_packets, 0U);

@@ -39,8 +39,9 @@ class FlowEngine : public ::testing::Test {
       : ft(FtreeParams{2, 4, 3}),
         net(build_network(ft)),
         yuan(ft),
-        cache(std::make_shared<const routing::ChannelRouteCache>(
-            routing::ChannelRouteCache::materialize(net, yuan))),
+        routes(std::make_shared<const flow::RouteSource>(
+            std::make_shared<const routing::ChannelRouteCache>(
+                routing::ChannelRouteCache::materialize(net, yuan)))),
         traffic(sim::TrafficPattern::permutation(
             shift_permutation(ft.leaf_count(), 1), ft.leaf_count())) {}
 
@@ -55,7 +56,7 @@ class FlowEngine : public ::testing::Test {
   FoldedClos ft;
   Network net;
   YuanNonblockingRouting yuan;
-  std::shared_ptr<const routing::ChannelRouteCache> cache;
+  std::shared_ptr<const flow::RouteSource> routes;
   sim::TrafficPattern traffic;
 };
 
@@ -64,21 +65,21 @@ class FlowEngine : public ::testing::Test {
 TEST_F(FlowEngine, RejectsOutOfRangeInjectionRate) {
   FlowConfig config = short_config();
   config.injection_rate = 1.5;
-  EXPECT_THROW(FlowSim(cache, traffic, config), precondition_error);
+  EXPECT_THROW(FlowSim(routes, traffic, config), precondition_error);
   config.injection_rate = -0.1;
-  EXPECT_THROW(FlowSim(cache, traffic, config), precondition_error);
+  EXPECT_THROW(FlowSim(routes, traffic, config), precondition_error);
 }
 
 TEST_F(FlowEngine, RejectsZeroFlitPackets) {
   FlowConfig config = short_config();
   config.packet_flits = 0;
-  EXPECT_THROW(FlowSim(cache, traffic, config), precondition_error);
+  EXPECT_THROW(FlowSim(routes, traffic, config), precondition_error);
 }
 
 TEST_F(FlowEngine, RejectsZeroVirtualChannels) {
   FlowConfig config = short_config();
   config.vcs = 0;
-  EXPECT_THROW(FlowSim(cache, traffic, config), precondition_error);
+  EXPECT_THROW(FlowSim(routes, traffic, config), precondition_error);
 }
 
 TEST_F(FlowEngine, VirtualCutThroughNeedsWholePacketBuffers) {
@@ -86,9 +87,9 @@ TEST_F(FlowEngine, VirtualCutThroughNeedsWholePacketBuffers) {
   config.switching = Switching::kVirtualCutThrough;
   config.packet_flits = 8;
   config.buffer_flits = 4;
-  EXPECT_THROW(FlowSim(cache, traffic, config), precondition_error);
+  EXPECT_THROW(FlowSim(routes, traffic, config), precondition_error);
   config.buffer_flits = 8;  // exactly one packet is the documented floor
-  EXPECT_NO_THROW(FlowSim(cache, traffic, config));
+  EXPECT_NO_THROW(FlowSim(routes, traffic, config));
 }
 
 TEST_F(FlowEngine, OnOffNeedsSlackBeyondTheHeadReservation) {
@@ -96,14 +97,14 @@ TEST_F(FlowEngine, OnOffNeedsSlackBeyondTheHeadReservation) {
   config.backpressure = Backpressure::kOnOff;
   config.switching = Switching::kWormhole;
   config.buffer_flits = 1;  // reservation 1 + no slack -> rejected
-  EXPECT_THROW(FlowSim(cache, traffic, config), precondition_error);
+  EXPECT_THROW(FlowSim(routes, traffic, config), precondition_error);
   config.buffer_flits = 2;
-  EXPECT_NO_THROW(FlowSim(cache, traffic, config));
+  EXPECT_NO_THROW(FlowSim(routes, traffic, config));
 }
 
 TEST_F(FlowEngine, RejectsMismatchedTrafficPattern) {
   const auto wrong = sim::TrafficPattern::uniform(ft.leaf_count() + 1);
-  EXPECT_THROW(FlowSim(cache, wrong, short_config()), precondition_error);
+  EXPECT_THROW(FlowSim(routes, wrong, short_config()), precondition_error);
 }
 
 TEST_F(FlowEngine, ConfigHelpersEncodeTheSwitchingMode) {
@@ -124,7 +125,7 @@ TEST_F(FlowEngine, ConfigHelpersEncodeTheSwitchingMode) {
 TEST_F(FlowEngine, ZeroInjectionDeliversNothing) {
   FlowConfig config = short_config();
   config.injection_rate = 0.0;
-  FlowSim sim(cache, traffic, config);
+  FlowSim sim(routes, traffic, config);
   const auto result = sim.run();
   EXPECT_EQ(result.injected_packets, 0U);
   EXPECT_EQ(result.delivered_packets, 0U);
@@ -139,7 +140,7 @@ TEST_F(FlowEngine, WormholePeakOccupancyNeverExceedsCapacity) {
   config.packet_flits = 4;
   config.buffer_flits = 4;
   config.switching = Switching::kWormhole;
-  FlowSim sim(cache, traffic, config);
+  FlowSim sim(routes, traffic, config);
   const auto result = sim.run();
   EXPECT_LE(result.peak_buffer_flits, config.buffer_flits);
   EXPECT_GT(result.delivered_packets, 0U);
@@ -159,7 +160,7 @@ TEST_F(FlowEngine, OnOffOccupancyNeverExceedsCapacity) {
     config.buffer_flits = 8;
     config.switching = switching;
     config.backpressure = Backpressure::kOnOff;
-    FlowSim sim(cache, traffic, config);
+    FlowSim sim(routes, traffic, config);
     const auto result = sim.run();
     EXPECT_LE(result.peak_buffer_flits, config.buffer_flits);
     EXPECT_GT(result.delivered_packets, 0U);
@@ -177,7 +178,7 @@ TEST_F(FlowEngine, TightBuffersProduceCreditStallsUnderContention) {
   config.packet_flits = 8;
   config.buffer_flits = 2;
   const auto uniform = sim::TrafficPattern::uniform(ft.leaf_count());
-  FlowSim sim(cache, uniform, config);
+  FlowSim sim(routes, uniform, config);
   const auto result = sim.run();
   EXPECT_GT(result.credit_stall_cycles, 0U);
   EXPECT_GT(result.mean_stall_cycles, 0.0);
@@ -192,12 +193,12 @@ TEST_F(FlowEngine, DeepBuffersOutperformShallowOnes) {
   shallow.injection_rate = 1.0;
   shallow.packet_flits = 4;
   shallow.buffer_flits = 1;
-  FlowSim a(cache, traffic, shallow);
+  FlowSim a(routes, traffic, shallow);
   const auto shallow_result = a.run();
 
   FlowConfig deep = shallow;
   deep.buffer_flits = 32;
-  FlowSim b(cache, traffic, deep);
+  FlowSim b(routes, traffic, deep);
   const auto deep_result = b.run();
 
   EXPECT_GE(deep_result.accepted_throughput,
@@ -212,7 +213,7 @@ TEST_F(FlowEngine, MultipleVirtualChannelsRelieveVcStalls) {
   config.packet_flits = 4;
   config.buffer_flits = 4;
   config.vcs = 2;
-  FlowSim sim(cache, traffic, config);
+  FlowSim sim(routes, traffic, config);
   const auto result = sim.run();
   EXPECT_GT(result.delivered_packets, 0U);
   EXPECT_LE(result.peak_buffer_flits, config.buffer_flits);
@@ -227,12 +228,12 @@ TEST_F(FlowEngine, CreditDelayStretchesStalls) {
   fast.packet_flits = 4;
   fast.buffer_flits = 2;
   fast.credit_delay = 1;
-  FlowSim a(cache, traffic, fast);
+  FlowSim a(routes, traffic, fast);
   const auto fast_result = a.run();
 
   FlowConfig slow = fast;
   slow.credit_delay = 8;
-  FlowSim b(cache, traffic, slow);
+  FlowSim b(routes, traffic, slow);
   const auto slow_result = b.run();
 
   EXPECT_LE(slow_result.accepted_throughput, fast_result.accepted_throughput);
@@ -243,7 +244,7 @@ TEST_F(FlowEngine, LinkBusyFlitsAccountEveryDeliveredFlit) {
   config.injection_rate = 0.5;
   config.packet_flits = 2;
   config.buffer_flits = 8;
-  FlowSim sim(cache, traffic, config);
+  FlowSim sim(routes, traffic, config);
   const auto result = sim.run();
   std::uint64_t total = 0;
   for (const auto flits : sim.link_busy_flits()) total += flits;
@@ -441,8 +442,9 @@ TEST(MmapSpill, SpilledArenasAreBitIdenticalToHeap) {
   const FoldedClos ft(FtreeParams{2, 4, 3});
   const Network net = build_network(ft);
   const YuanNonblockingRouting yuan(ft);
-  const auto cache = std::make_shared<const routing::ChannelRouteCache>(
-      routing::ChannelRouteCache::materialize(net, yuan));
+  const auto routes = std::make_shared<const flow::RouteSource>(
+      std::make_shared<const routing::ChannelRouteCache>(
+          routing::ChannelRouteCache::materialize(net, yuan)));
   const auto traffic = sim::TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 1), ft.leaf_count());
   FlowConfig config;
@@ -452,12 +454,12 @@ TEST(MmapSpill, SpilledArenasAreBitIdenticalToHeap) {
   config.seed = 99;
   config.counter_injection = true;
 
-  FlowSim heap_sim(cache, traffic, config);
+  FlowSim heap_sim(routes, traffic, config);
   const auto heap_result = heap_sim.run();
   EXPECT_EQ(heap_sim.arena_stats().spill_bytes, 0U);
 
   ASSERT_EQ(setenv("NBCLOS_MMAP_CACHE", "1", 1), 0);
-  FlowSim spill_sim(cache, traffic, config);
+  FlowSim spill_sim(routes, traffic, config);
   unsetenv("NBCLOS_MMAP_CACHE");
   const auto spill_result = spill_sim.run();
   EXPECT_GT(spill_sim.arena_stats().spill_bytes, 0U);
@@ -474,9 +476,9 @@ TEST(MmapSpill, SpilledArenasAreBitIdenticalToHeap) {
   EXPECT_EQ(heap_result.deadlocked, spill_result.deadlocked);
 }
 
-// --- pure route sources --------------------------------------------------
+// --- route sources -------------------------------------------------------
 
-TEST(PureRouteSourceFlow, MatchesRouteCacheOnKaryTree) {
+TEST(RouteSourceFlow, MatchesRouteCacheOnKaryTree) {
   // The same flow run through the O(T^2) table and the O(1) dmodk
   // arithmetic: identical routes must mean identical results, which is
   // what lets the scale bench drop the table entirely.
@@ -485,8 +487,12 @@ TEST(PureRouteSourceFlow, MatchesRouteCacheOnKaryTree) {
   const KaryTreeRouter table_router(net, 3, 3);
   const auto cache = std::make_shared<const routing::ChannelRouteCache>(
       net, [&](SDPair sd) { return table_router.route(sd); });
-  const auto pure = std::make_shared<const flow::PureRouteSource>(
+  const auto routes = std::make_shared<const flow::RouteSource>(cache);
+  EXPECT_EQ(routes->label(), "route-cache");
+  EXPECT_EQ(routes->bytes(), cache->bytes());
+  const auto pure = std::make_shared<const flow::RouteSource>(
       net, std::make_shared<const sim::KaryDmodkRouter>(net, 3, 3));
+  EXPECT_EQ(pure->label(), "kary-dmodk");
   EXPECT_EQ(pure->bytes(), 0U);
   const auto traffic = sim::TrafficPattern::permutation(
       shift_permutation(terminals, 4), terminals);
@@ -497,7 +503,7 @@ TEST(PureRouteSourceFlow, MatchesRouteCacheOnKaryTree) {
   config.seed = 7;
   config.counter_injection = true;
 
-  FlowSim cached(cache, traffic, config);
+  FlowSim cached(routes, traffic, config);
   const auto cached_result = cached.run();
   FlowSim arith(pure, traffic, config);
   const auto arith_result = arith.run();

@@ -3,7 +3,8 @@
 ///        (single-flit packets, effectively-infinite buffers) FlowSim
 ///        must reproduce sim::PacketSim bit-identically.
 ///
-/// Both engines drive the *same* shared routing::ChannelRouteCache and
+/// Both engines route through the *same* table-backed
+/// sim::CachedShardRouter (PacketSim via sim::ShardRouterOracle) and
 /// consume identical RNG streams, so with 1-flit packets, 1024-flit
 /// buffers, and a contention-free (Yuan nonblocking) routing every
 /// mirrored result field — throughput, latency moments and quantiles,
@@ -20,7 +21,7 @@
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/engine.hpp"
-#include "nbclos/sim/path_oracle.hpp"
+#include "nbclos/sim/shard_router.hpp"
 
 namespace nbclos {
 namespace {
@@ -52,26 +53,27 @@ class GoldenFlow : public ::testing::Test {
       : ft(FtreeParams{4, 16, 8}),
         net(build_network(ft)),
         yuan(ft),
-        cache(std::make_shared<const routing::ChannelRouteCache>(
-            routing::ChannelRouteCache::materialize(net, yuan))),
+        routes(std::make_shared<const flow::RouteSource>(
+            std::make_shared<const routing::ChannelRouteCache>(
+                routing::ChannelRouteCache::materialize(net, yuan)))),
         traffic(sim::TrafficPattern::permutation(
             shift_permutation(ft.leaf_count(), 5), ft.leaf_count())) {}
 
-  /// One PacketSim + one FlowSim at the same rate over the shared cache,
+  /// One PacketSim + one FlowSim at the same rate over the shared router,
   /// both in their documented ideal-reference configurations.
   void run_pair(double rate, SimResult& packet_result,
                 FlowResult& flow_result) {
     SimConfig sc = SimConfig::ideal_reference(rate, kSeed);
     sc.warmup_cycles = kWarmup;
     sc.measure_cycles = kMeasure;
-    sim::ExplicitPathOracle oracle(cache);
+    sim::ShardRouterOracle oracle(routes->router());
     sim::PacketSim psim(net, oracle, traffic, sc);
     packet_result = psim.run();
 
     FlowConfig fc = FlowConfig::ideal_reference(rate, kSeed);
     fc.warmup_cycles = kWarmup;
     fc.measure_cycles = kMeasure;
-    FlowSim fsim(cache, traffic, fc);
+    FlowSim fsim(routes, traffic, fc);
     flow_result = fsim.run();
   }
 
@@ -82,7 +84,7 @@ class GoldenFlow : public ::testing::Test {
   FoldedClos ft;
   Network net;
   YuanNonblockingRouting yuan;
-  std::shared_ptr<const routing::ChannelRouteCache> cache;
+  std::shared_ptr<const flow::RouteSource> routes;
   sim::TrafficPattern traffic;
 };
 
@@ -136,8 +138,8 @@ TEST_F(GoldenFlow, RepeatedRunsAreBitIdentical) {
   FlowConfig fc = FlowConfig::ideal_reference(0.7, kSeed);
   fc.warmup_cycles = kWarmup;
   fc.measure_cycles = kMeasure;
-  FlowSim a(cache, traffic, fc);
-  FlowSim b(cache, traffic, fc);
+  FlowSim a(routes, traffic, fc);
+  FlowSim b(routes, traffic, fc);
   const FlowResult ra = a.run();
   const FlowResult rb = b.run();
   EXPECT_EQ(ra.accepted_throughput, rb.accepted_throughput);

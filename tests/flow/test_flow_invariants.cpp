@@ -51,8 +51,9 @@ class FlowInvariants : public ::testing::Test {
       : ft(FtreeParams{2, 4, 3}),
         net(build_network(ft)),
         yuan(ft),
-        cache(std::make_shared<const routing::ChannelRouteCache>(
-            routing::ChannelRouteCache::materialize(net, yuan))),
+        routes(std::make_shared<const flow::RouteSource>(
+            std::make_shared<const routing::ChannelRouteCache>(
+                routing::ChannelRouteCache::materialize(net, yuan)))),
         traffic(sim::TrafficPattern::permutation(
             shift_permutation(ft.leaf_count(), 1), ft.leaf_count())) {}
 
@@ -73,14 +74,14 @@ class FlowInvariants : public ::testing::Test {
   FoldedClos ft;
   Network net;
   YuanNonblockingRouting yuan;
-  std::shared_ptr<const routing::ChannelRouteCache> cache;
+  std::shared_ptr<const flow::RouteSource> routes;
   sim::TrafficPattern traffic;
 };
 
 // --- credit conservation --------------------------------------------------
 
 TEST_F(FlowInvariants, CreditConservationHoldsBeforeAndAfterTheRun) {
-  FlowSim sim(cache, traffic, stressed_config());
+  FlowSim sim(routes, traffic, stressed_config());
   // Pristine state: every buffer empty, every counter at capacity.
   EXPECT_TRUE(sim.credit_conservation_holds());
   const auto result = sim.run();
@@ -97,7 +98,7 @@ TEST_F(FlowInvariants, CreditConservationHoldsAcrossDelaysAndDepths) {
       FlowConfig config = stressed_config();
       config.credit_delay = delay;
       config.buffer_flits = depth;
-      FlowSim sim(cache, traffic, config);
+      FlowSim sim(routes, traffic, config);
       (void)sim.run();
       EXPECT_TRUE(sim.credit_conservation_holds())
           << "delay " << delay << " depth " << depth;
@@ -108,7 +109,7 @@ TEST_F(FlowInvariants, CreditConservationHoldsAcrossDelaysAndDepths) {
 TEST_F(FlowInvariants, CreditAuditRequiresCreditMode) {
   FlowConfig config = stressed_config();
   config.backpressure = Backpressure::kOnOff;
-  FlowSim sim(cache, traffic, config);
+  FlowSim sim(routes, traffic, config);
   EXPECT_THROW((void)sim.credit_conservation_holds(), precondition_error);
 }
 
@@ -117,12 +118,12 @@ TEST_F(FlowInvariants, CreditAuditRequiresCreditMode) {
 TEST_F(FlowInvariants, LoadSweepIsThreadCountIndependent) {
   const std::vector<double> rates{0.2, 0.6, 1.0};
   const FlowConfig base = stressed_config();
-  const auto serial = flow_load_sweep(cache, traffic, base, rates, nullptr);
+  const auto serial = flow_load_sweep(routes, traffic, base, rates, nullptr);
   ASSERT_EQ(serial.size(), rates.size());
   for (const std::size_t threads : {1U, 2U, 4U}) {
     ThreadPool pool(threads);
     const auto parallel =
-        flow_load_sweep(cache, traffic, base, rates, &pool);
+        flow_load_sweep(routes, traffic, base, rates, &pool);
     ASSERT_EQ(parallel.size(), rates.size());
     for (std::size_t i = 0; i < rates.size(); ++i) {
       SCOPED_TRACE(::testing::Message()
@@ -138,11 +139,11 @@ TEST_F(FlowInvariants, BufferMarginSweepIsThreadCountIndependent) {
   config.probe_load = 0.9;
   config.base = stressed_config();
   const auto serial =
-      analysis::buffer_margin_sweep(cache, traffic, config, nullptr);
+      analysis::buffer_margin_sweep(routes, traffic, config, nullptr);
   for (const std::size_t threads : {1U, 2U, 4U}) {
     ThreadPool pool(threads);
     const auto parallel =
-        analysis::buffer_margin_sweep(cache, traffic, config, &pool);
+        analysis::buffer_margin_sweep(routes, traffic, config, &pool);
     ASSERT_EQ(parallel.points.size(), serial.points.size());
     EXPECT_EQ(parallel.min_flits_nonblocking, serial.min_flits_nonblocking);
     for (std::size_t i = 0; i < serial.points.size(); ++i) {
@@ -167,11 +168,11 @@ TEST_F(FlowInvariants, SweepMatchesIndividuallyConstructedRuns) {
   // state leaking across runs.
   const std::vector<double> rates{0.3, 0.8};
   const FlowConfig base = stressed_config();
-  const auto swept = flow_load_sweep(cache, traffic, base, rates, nullptr);
+  const auto swept = flow_load_sweep(routes, traffic, base, rates, nullptr);
   for (std::size_t i = 0; i < rates.size(); ++i) {
     FlowConfig config = base;
     config.injection_rate = rates[i];
-    FlowSim sim(cache, traffic, config);
+    FlowSim sim(routes, traffic, config);
     const auto direct = sim.run();
     SCOPED_TRACE(::testing::Message() << "rate " << rates[i]);
     expect_identical(swept[i], direct);

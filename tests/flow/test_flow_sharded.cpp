@@ -67,8 +67,9 @@ class FlowSharded : public ::testing::Test {
       : ft(FtreeParams{2, 4, 3}),
         net(build_network(ft)),
         yuan(ft),
-        cache(std::make_shared<const routing::ChannelRouteCache>(
-            routing::ChannelRouteCache::materialize(net, yuan))),
+        routes(std::make_shared<const flow::RouteSource>(
+            std::make_shared<const routing::ChannelRouteCache>(
+                routing::ChannelRouteCache::materialize(net, yuan)))),
         traffic(sim::TrafficPattern::permutation(
             shift_permutation(ft.leaf_count(), 5), ft.leaf_count())) {}
 
@@ -89,11 +90,11 @@ class FlowSharded : public ::testing::Test {
   void check_all_shard_counts(const FlowConfig& config,
                               const fault::DegradedView* degraded = nullptr,
                               std::vector<fault::FaultEvent> events = {}) {
-    FlowSim serial(cache, traffic, config, degraded, events);
+    FlowSim serial(routes, traffic, config, degraded, events);
     const FlowResult golden = serial.run();
     const auto serial_busy = serial.link_busy_flits();
     for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-      ShardedFlowSim sharded(cache, traffic, config, shards, degraded, events);
+      ShardedFlowSim sharded(routes, traffic, config, shards, degraded, events);
       const FlowResult got = sharded.run();
       expect_identical(golden, got, shards);
       EXPECT_EQ(serial_busy, sharded.link_busy_flits())
@@ -104,7 +105,7 @@ class FlowSharded : public ::testing::Test {
   FoldedClos ft;
   Network net;
   YuanNonblockingRouting yuan;
-  std::shared_ptr<const routing::ChannelRouteCache> cache;
+  std::shared_ptr<const flow::RouteSource> routes;
   sim::TrafficPattern traffic;
 };
 
@@ -180,7 +181,7 @@ TEST_F(FlowSharded, BitIdenticalUnderFaultSchedule) {
   check_all_shard_counts(config, &view, events);
   // The schedule must actually have bitten: rerun serially and check the
   // drop counter engaged (regression against a silently dead schedule).
-  FlowSim probe(cache, traffic, config, &view, events);
+  FlowSim probe(routes, traffic, config, &view, events);
   EXPECT_GT(probe.run().dropped_packets, 0U);
 }
 
@@ -210,23 +211,24 @@ struct RingFabric {
       ring[i] = net.add_channel(kRing + i, kRing + (i + 1) % kRing);
     }
     net.finalize();
-    cache = std::make_shared<const routing::ChannelRouteCache>(
-        net, [this](SDPair sd) {
-          std::vector<std::uint32_t> path{nic[sd.src.value]};
-          for (std::uint32_t at = sd.src.value; at != sd.dst.value;
-               at = (at + 1) % kRing) {
-            path.push_back(ring[at]);
-          }
-          path.push_back(eject[sd.dst.value]);
-          return path;
-        });
+    routes = std::make_shared<const flow::RouteSource>(
+        std::make_shared<const routing::ChannelRouteCache>(
+            net, [this](SDPair sd) {
+              std::vector<std::uint32_t> path{nic[sd.src.value]};
+              for (std::uint32_t at = sd.src.value; at != sd.dst.value;
+                   at = (at + 1) % kRing) {
+                path.push_back(ring[at]);
+              }
+              path.push_back(eject[sd.dst.value]);
+              return path;
+            }));
   }
 
   Network net;
   std::uint32_t nic[kRing];
   std::uint32_t eject[kRing];
   std::uint32_t ring[kRing];
-  std::shared_ptr<const routing::ChannelRouteCache> cache;
+  std::shared_ptr<const flow::RouteSource> routes;
 };
 
 FlowConfig wedge_config() {
@@ -249,12 +251,12 @@ TEST(FlowShardedWatchdog, VerdictMatchesSerialAcrossShardCuts) {
   RingFabric fab;
   const auto traffic =
       sim::TrafficPattern::permutation(shift_permutation(kRing, 2), kRing);
-  FlowSim serial(fab.cache, traffic, wedge_config());
+  FlowSim serial(fab.routes, traffic, wedge_config());
   const FlowResult golden = serial.run();
   ASSERT_TRUE(golden.deadlocked);
   ASSERT_GT(golden.stuck_flits, 0U);
   for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    ShardedFlowSim sharded(fab.cache, traffic, wedge_config(), shards);
+    ShardedFlowSim sharded(fab.routes, traffic, wedge_config(), shards);
     const FlowResult got = sharded.run();
     expect_identical(golden, got, shards);
   }
@@ -276,13 +278,13 @@ TEST(FlowShardedWatchdog, FaultInducedTripMatchesSerial) {
   FlowConfig config = wedge_config();
   config.packet_flits = 2;  // no intrinsic wedge: only the fault stalls it
   config.buffer_flits = 4;
-  FlowSim serial(fab.cache, traffic, config, &view, events);
+  FlowSim serial(fab.routes, traffic, config, &view, events);
   const FlowResult golden = serial.run();
   ASSERT_TRUE(golden.deadlocked);
   EXPECT_GE(golden.deadlock_cycle, 600U);
   EXPECT_GT(golden.dropped_packets, 0U);
   for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    ShardedFlowSim sharded(fab.cache, traffic, config, shards, &view, events);
+    ShardedFlowSim sharded(fab.routes, traffic, config, shards, &view, events);
     const FlowResult got = sharded.run();
     expect_identical(golden, got, shards);
   }
@@ -325,13 +327,13 @@ TEST_F(FlowSharded, MergedTimeseriesBitIdenticalAcrossShardCounts) {
   config.record_timeseries = true;
   config.record_cadence = 32;
   config.record_ring_capacity = 24;  // small ring: downsampling engages
-  FlowSim serial(cache, traffic, config);
+  FlowSim serial(routes, traffic, config);
   const FlowResult golden_result = serial.run();
   const auto golden = invariant_series(serial.recorder());
   ASSERT_GE(golden.size(), 7U);
   ASSERT_FALSE(golden[0].points.empty());
   for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    ShardedFlowSim sharded(cache, traffic, config, shards);
+    ShardedFlowSim sharded(routes, traffic, config, shards);
     const FlowResult got = sharded.run();
     expect_identical(golden_result, got, shards);
     expect_identical_series(golden, invariant_series(sharded.recorder()),
@@ -347,7 +349,7 @@ TEST(FlowShardedForensics, WatchdogTripNamesTheDeadlockedFifos) {
   FlowConfig config = wedge_config();
   config.record_timeseries = true;
   config.record_cadence = 32;
-  FlowSim serial(fab.cache, traffic, config);
+  FlowSim serial(fab.routes, traffic, config);
   ASSERT_TRUE(serial.run().deadlocked);
   const auto& golden = serial.forensics();
   ASSERT_TRUE(golden.valid);
@@ -383,7 +385,7 @@ TEST(FlowShardedForensics, WatchdogTripNamesTheDeadlockedFifos) {
   // state, even when the wait cycle crosses every shard boundary.
   for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    ShardedFlowSim sharded(fab.cache, traffic, config, shards);
+    ShardedFlowSim sharded(fab.routes, traffic, config, shards);
     ASSERT_TRUE(sharded.run().deadlocked);
     const auto& got = sharded.forensics();
     ASSERT_TRUE(got.valid);

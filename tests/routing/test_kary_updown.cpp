@@ -5,7 +5,7 @@
 #include <set>
 
 #include "nbclos/sim/engine.hpp"
-#include "nbclos/sim/path_oracle.hpp"
+#include "nbclos/sim/shard_router.hpp"
 
 namespace nbclos {
 namespace {
@@ -105,8 +105,10 @@ TEST(KaryUpDown, SimulatesUnderUniformTraffic) {
   // k-ary n-tree at moderate uniform load without loss of progress.
   const auto net = build_kary_ntree(2, 3);
   const KaryTreeRouter router(net, 2, 3);
-  sim::ExplicitPathOracle oracle(
-      net, [&router](SDPair sd) { return router.route(sd); }, "kary-updown");
+  const routing::ChannelRouteCache cache(
+      net, [&router](SDPair sd) { return router.route(sd); });
+  const sim::CachedShardRouter cached(cache);
+  sim::ShardRouterOracle oracle(cached);
   const auto traffic = sim::TrafficPattern::uniform(8);
   sim::SimConfig config;
   config.injection_rate = 0.3;

@@ -1,7 +1,8 @@
-/// U32Store and the mmap-backed ChannelRouteCache: the file-backed
-/// arena must behave exactly like the heap vector it replaces — same
-/// contents, same growth semantics — and a cache built under
-/// NBCLOS_MMAP_CACHE must answer identically to a heap-built one.
+/// FlatStore<std::uint32_t>, the route tables' store (its tests keep the
+/// suite name U32Store), and the mmap-backed ChannelRouteCache: the
+/// file-backed arena must behave exactly like the heap vector it
+/// replaces — same contents, same growth semantics — and a cache built
+/// under NBCLOS_MMAP_CACHE must answer identically to a heap-built one.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -41,7 +42,7 @@ class ScopedMmapEnv {
 };
 
 TEST(U32Store, HeapStoreMirrorsVector) {
-  U32Store store;
+  FlatStore<std::uint32_t> store;
   EXPECT_FALSE(store.file_backed());
   EXPECT_EQ(store.size(), 0U);
   for (std::uint32_t i = 0; i < 100; ++i) store.push_back(i * 7);
@@ -56,7 +57,7 @@ TEST(U32Store, HeapStoreMirrorsVector) {
 }
 
 TEST(U32Store, FileBackedStoreGrowsPastInitialCapacity) {
-  U32Store store("/tmp");
+  FlatStore<std::uint32_t> store("/tmp");
 #ifndef __linux__
   GTEST_SKIP() << "mmap backing is Linux-only";
 #endif
@@ -76,7 +77,7 @@ TEST(U32Store, FileBackedStoreGrowsPastInitialCapacity) {
 }
 
 TEST(U32Store, ReserveOnFileBackedStorePreallocates) {
-  U32Store store("/tmp");
+  FlatStore<std::uint32_t> store("/tmp");
 #ifndef __linux__
   GTEST_SKIP() << "mmap backing is Linux-only";
 #endif
@@ -88,24 +89,24 @@ TEST(U32Store, ReserveOnFileBackedStorePreallocates) {
 }
 
 TEST(U32Store, CopyCollapsesToHeapAndMovePreservesBacking) {
-  U32Store store("/tmp");
+  FlatStore<std::uint32_t> store("/tmp");
   for (std::uint32_t i = 0; i < 2000; ++i) store.push_back(i + 1);
   const bool was_file_backed = store.file_backed();
 
-  const U32Store copy(store);
+  const FlatStore<std::uint32_t> copy(store);
   EXPECT_FALSE(copy.file_backed());
   ASSERT_EQ(copy.size(), 2000U);
   EXPECT_EQ(copy[0], 1U);
   EXPECT_EQ(copy[1999], 2000U);
 
-  U32Store assigned;
+  FlatStore<std::uint32_t> assigned;
   assigned.push_back(99);
   assigned = store;
   EXPECT_FALSE(assigned.file_backed());
   ASSERT_EQ(assigned.size(), 2000U);
   EXPECT_EQ(assigned[1234], 1235U);
 
-  U32Store moved(std::move(store));
+  FlatStore<std::uint32_t> moved(std::move(store));
   EXPECT_EQ(moved.file_backed(), was_file_backed);
   ASSERT_EQ(moved.size(), 2000U);
   EXPECT_EQ(moved[1999], 2000U);
@@ -114,17 +115,17 @@ TEST(U32Store, CopyCollapsesToHeapAndMovePreservesBacking) {
 TEST(U32Store, MmapCacheDirParsesTheEnvironment) {
   {
     ScopedMmapEnv env("0");
-    EXPECT_FALSE(U32Store::mmap_cache_dir().has_value());
+    EXPECT_FALSE(FlatStore<std::uint32_t>::mmap_cache_dir().has_value());
   }
   {
     ScopedMmapEnv env("1");
-    const auto dir = U32Store::mmap_cache_dir();
+    const auto dir = FlatStore<std::uint32_t>::mmap_cache_dir();
     ASSERT_TRUE(dir.has_value());
     EXPECT_EQ(*dir, "/tmp");
   }
   {
     ScopedMmapEnv env("/var/tmp");
-    const auto dir = U32Store::mmap_cache_dir();
+    const auto dir = FlatStore<std::uint32_t>::mmap_cache_dir();
     ASSERT_TRUE(dir.has_value());
     EXPECT_EQ(*dir, "/var/tmp");
   }

@@ -1,18 +1,26 @@
 /// Path-equivalence tests for the pure shard routers: the O(1)
 /// arithmetic routers must walk exactly the paths of the table/index
-/// routers they replace, and the per-shard CSR route views must
-/// partition the full cache without losing a hop.
+/// routers they replace, both engines must give equal results over an
+/// arithmetic router and over its materialized table, the table replay
+/// must drive PacketSim through ShardRouterOracle, and the per-shard CSR
+/// route views must partition the full cache without losing a hop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
+#include "nbclos/analysis/permutations.hpp"
 #include "nbclos/core/multilevel.hpp"
 #include "nbclos/fault/degraded_view.hpp"
+#include "nbclos/flow/engine.hpp"
+#include "nbclos/flow/route_source.hpp"
+#include "nbclos/routing/baselines.hpp"
 #include "nbclos/routing/kary_updown.hpp"
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
+#include "nbclos/sim/engine.hpp"
 #include "nbclos/sim/shard_router.hpp"
 #include "nbclos/sim/sharded.hpp"
 #include "nbclos/topology/network.hpp"
@@ -136,6 +144,163 @@ TEST(RecursiveShardRouter, SelfPairHasNoRoute) {
   EXPECT_EQ(router.next_channel(3, p), fault::kNoRoute);
 }
 
+// --- router parity: arithmetic router == its materialized table -----------
+
+/// Runs FlowSim (through a RouteSource) and PacketSim (through
+/// ShardRouterOracle) once over `arith` and once over `table`, the
+/// materialized routes of the same routing, under uniform traffic; the
+/// results must be equal field for field.
+void expect_parity(const Network& net,
+                   const std::shared_ptr<const sim::ShardRouter>& arith,
+                   std::shared_ptr<const routing::ChannelRouteCache> table) {
+  const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
+  const auto traffic = sim::TrafficPattern::uniform(terminals);
+  const auto arith_routes =
+      std::make_shared<const flow::RouteSource>(net, arith);
+  const auto table_routes =
+      std::make_shared<const flow::RouteSource>(std::move(table));
+  EXPECT_EQ(arith_routes->bytes(), 0U);
+  EXPECT_GT(table_routes->bytes(), 0U);
+
+  flow::FlowConfig fc;
+  fc.injection_rate = 0.5;
+  fc.warmup_cycles = 100;
+  fc.measure_cycles = 400;
+  fc.seed = 11;
+  flow::FlowSim arith_flow(arith_routes, traffic, fc);
+  flow::FlowSim table_flow(table_routes, traffic, fc);
+  const auto arith_flow_result = arith_flow.run();
+  EXPECT_GT(arith_flow_result.delivered_packets, 0U);
+  EXPECT_TRUE(arith_flow_result == table_flow.run());
+  EXPECT_EQ(arith_flow.link_busy_flits(), table_flow.link_busy_flits());
+
+  sim::SimConfig sc;
+  sc.injection_rate = 0.5;
+  sc.warmup_cycles = 100;
+  sc.measure_cycles = 400;
+  sc.seed = 11;
+  sim::ShardRouterOracle arith_oracle(*arith);
+  sim::ShardRouterOracle table_oracle(table_routes->router());
+  sim::PacketSim arith_sim(net, arith_oracle, traffic, sc);
+  sim::PacketSim table_sim(net, table_oracle, traffic, sc);
+  const auto arith_sim_result = arith_sim.run();
+  EXPECT_GT(arith_sim_result.delivered_packets, 0U);
+  EXPECT_TRUE(arith_sim_result == table_sim.run());
+  EXPECT_EQ(arith_sim.link_busy_flits(), table_sim.link_busy_flits());
+}
+
+TEST(RouterParity, FtreeDmodkMatchesDModKTable) {
+  const FoldedClos ft(FtreeParams{3, 9, 5});
+  const Network net = build_network(ft);
+  const DModKRouting dmodk(ft);
+  expect_parity(net, std::make_shared<const FtreeDmodkRouter>(ft),
+                std::make_shared<const routing::ChannelRouteCache>(
+                    routing::ChannelRouteCache::materialize(net, dmodk)));
+}
+
+TEST(RouterParity, RecursiveMatchesMultiLevelFabricTable) {
+  const MultiLevelFabric fabric(2, 3);
+  const auto& net = fabric.network();
+  expect_parity(net, std::make_shared<const sim::RecursiveShardRouter>(fabric),
+                std::make_shared<const routing::ChannelRouteCache>(
+                    net, [&](SDPair sd) { return fabric.route(sd); }));
+}
+
+TEST(RouterParity, KaryDmodkMatchesKaryTreeTable) {
+  const Network net = build_kary_ntree(3, 3);
+  const KaryTreeRouter table(net, 3, 3);
+  expect_parity(net, std::make_shared<const KaryDmodkRouter>(net, 3, 3),
+                std::make_shared<const routing::ChannelRouteCache>(
+                    net, [&](SDPair sd) { return table.route(sd); }));
+}
+
+// --- table replay in PacketSim: ShardRouterOracle(CachedShardRouter) ------
+
+/// The table of `route` on `net`, the router replaying it and the
+/// PacketSim adapter over that router, kept alive together.
+struct TableOracle {
+  TableOracle(const Network& net,
+              const routing::ChannelRouteCache::RouteFn& route)
+      : cache(net, route), router(cache), oracle(router) {}
+  routing::ChannelRouteCache cache;
+  sim::CachedShardRouter router;
+  sim::ShardRouterOracle oracle;
+};
+
+TEST(PathOracle, FollowsPrecomputedHops) {
+  const FoldedClos ft(FtreeParams{2, 4, 3});
+  const auto net = build_network(ft);
+  const YuanNonblockingRouting routing(ft);
+  const auto route = [&](SDPair sd) {
+    std::vector<std::uint32_t> path;
+    for (const auto link : ft.links_of(routing.route(sd))) {
+      path.push_back(link.value);
+    }
+    return path;
+  };
+  TableOracle table(net, route);
+  EXPECT_EQ(table.oracle.name(), "route-cache");
+  std::vector<std::uint32_t> depths(net.channel_count(), 0);
+  const sim::SimView view(net, depths);
+
+  sim::Packet p;
+  p.src_terminal = 0;
+  p.dst_terminal = 5;
+  // Walk the oracle hop by hop and compare with the direct route.
+  const auto expected = route({LeafId{0}, LeafId{5}});
+  std::uint32_t at = 0;
+  for (const auto want : expected) {
+    const auto got = table.oracle.next_channel(view, at, p);
+    EXPECT_EQ(got, want);
+    at = net.channel(got).dst;
+  }
+  EXPECT_EQ(at, 5U);
+}
+
+TEST(PathOracle, EntryCountMatchesPairsTimesHops) {
+  const auto net = build_crossbar(4);
+  TableOracle table(net, [](SDPair sd) {
+    return std::vector<std::uint32_t>{sd.src.value, 4 + sd.dst.value};
+  });
+  // 12 ordered pairs x 2 hops, keyed by (vertex, src, dst): 24 entries.
+  EXPECT_EQ(table.cache.entry_count(), 24U);
+  // Without views the router holds exactly the table it replays.
+  EXPECT_EQ(table.router.bytes(), table.cache.bytes());
+}
+
+TEST(PathOracle, RejectsUnknownPacket) {
+  const auto net = build_crossbar(3);
+  TableOracle table(net, [](SDPair sd) {
+    return std::vector<std::uint32_t>{sd.src.value, 3 + sd.dst.value};
+  });
+  std::vector<std::uint32_t> depths(net.channel_count(), 0);
+  const sim::SimView view(net, depths);
+  sim::Packet p;
+  p.src_terminal = 0;
+  p.dst_terminal = 0;  // self pair never routed
+  EXPECT_THROW((void)table.oracle.next_channel(view, 0, p), precondition_error);
+}
+
+TEST(PathOracle, SimulatesMultiLevelFabricAtFullLoad) {
+  // End-to-end: the 3-level recursive nonblocking fabric sustains a full
+  // permutation at load 1.0 in the packet simulator — the paper's
+  // induction claim observed dynamically, not just by audit.
+  const MultiLevelFabric fabric(2, 3);  // 24 ports
+  const auto& net = fabric.network();
+  TableOracle table(net, [&fabric](SDPair sd) { return fabric.route(sd); });
+  const auto pattern = shift_permutation(fabric.port_count(), 5);
+  const auto traffic =
+      sim::TrafficPattern::permutation(pattern, fabric.port_count());
+  sim::SimConfig config;
+  config.injection_rate = 1.0;
+  config.warmup_cycles = 500;
+  config.measure_cycles = 3000;
+  sim::PacketSim simulator(net, table.oracle, traffic, config);
+  const auto result = simulator.run();
+  EXPECT_GT(result.accepted_throughput, 0.97);
+  EXPECT_FALSE(result.saturated());
+}
+
 TEST(ShardRouteView, ViewsPartitionTheFullCache) {
   const FoldedClos ft(FtreeParams{2, 4, 3});
   const Network net = build_network(ft);
@@ -180,6 +345,11 @@ TEST(CachedShardRouter, MatchesCacheWithAndWithoutViews) {
   const auto plan = ShardPlan::build(net, 3);
   viewed.attach_views(plan.vertex_begin);
   ASSERT_EQ(viewed.views().size(), plan.shard_count);
+  EXPECT_EQ(plain.name(), "route-cache");
+  EXPECT_EQ(plain.bytes(), cache.bytes());
+  std::size_t view_bytes = 0;
+  for (const auto& view : viewed.views()) view_bytes += view.bytes();
+  EXPECT_EQ(viewed.bytes(), cache.bytes() + view_bytes);
   const auto T = cache.terminal_count();
   for (std::uint32_t s = 0; s < T; ++s) {
     for (std::uint32_t d = 0; d < T; ++d) {

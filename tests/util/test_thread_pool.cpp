@@ -6,10 +6,31 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <vector>
+
+#include "nbclos/util/check.hpp"
 
 namespace nbclos {
 namespace {
+
+TEST(ThreadPool, RefusesCountsAboveTheCapBeforeStartingThreads) {
+  // The check runs before the first worker starts, so an absurd count
+  // costs nothing; the message names both the count and the cap.
+  try {
+    ThreadPool pool(ThreadPool::kMaxThreads + 1);
+    FAIL() << "a pool of " << pool.thread_count() << " threads started";
+  } catch (const precondition_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("257"), std::string::npos) << what;
+    EXPECT_NE(what.find("256"), std::string::npos) << what;
+  }
+  EXPECT_THROW(ThreadPool(std::size_t{1} << 40), precondition_error);
+  // 0 asks for the hardware's count, clamped into [1, kMaxThreads].
+  const ThreadPool automatic(0);
+  EXPECT_GE(automatic.thread_count(), 1U);
+  EXPECT_LE(automatic.thread_count(), ThreadPool::kMaxThreads);
+}
 
 TEST(ThreadPool, RunsSubmittedTasks) {
   ThreadPool pool(4);

@@ -247,36 +247,43 @@ TopoSpec parse_topo(const std::vector<std::string>& args, std::size_t& i) {
   return topo;
 }
 
-/// Pure ShardRouter for a ShardedSim run.  `cache` receives the route
-/// cache a thm3 router replays (the caller keeps it alive); `views_plan`
-/// is the partition its per-shard CSR views are carved on.
-std::unique_ptr<nbclos::sim::ShardRouter> make_shard_router(
+/// The pure ShardRouter of a deterministic routing: the one routing
+/// selector of `flow-sim` and of the sharded `simulate` / `load-sweep`.
+/// `cache` receives the route table a thm3 router replays (the caller
+/// keeps it alive).  With `view_shards` > 0 that router also answers
+/// through per-shard CSR views carved on a `view_shards`-way partition.
+std::shared_ptr<const nbclos::sim::ShardRouter> make_shard_router(
     const TopoSpec& topo, const nbclos::FoldedClos* ft,
     const nbclos::Network& net, const std::string& routing,
-    std::uint32_t shards,
+    std::uint32_t view_shards,
     std::shared_ptr<const nbclos::routing::ChannelRouteCache>& cache) {
   if (topo.kary) {
     if (routing != "dmodk") {
       throw std::invalid_argument(
           "k-ary fabrics support only the dmodk routing");
     }
-    return std::make_unique<nbclos::sim::KaryDmodkRouter>(net, topo.k, topo.h);
+    // O(1) digit arithmetic, no per-pair table: k-ary fabrics scale to
+    // 10^6 terminals, where the O(T^2) cache cannot exist.
+    return std::make_shared<nbclos::sim::KaryDmodkRouter>(net, topo.k, topo.h);
   }
   if (routing == "dmodk") {
-    return std::make_unique<nbclos::sim::FtreeDmodkRouter>(*ft);
+    return std::make_shared<nbclos::sim::FtreeDmodkRouter>(*ft);
   }
   if (routing == "thm3") {
     const nbclos::YuanNonblockingRouting yuan(*ft);
     cache = std::make_shared<const nbclos::routing::ChannelRouteCache>(
         nbclos::routing::ChannelRouteCache::materialize(net, yuan));
-    auto router = std::make_unique<nbclos::sim::CachedShardRouter>(*cache);
-    const auto plan = nbclos::sim::ShardPlan::build(net, shards);
-    router->attach_views(plan.vertex_begin);
+    auto router = std::make_shared<nbclos::sim::CachedShardRouter>(*cache);
+    if (view_shards > 0) {
+      router->attach_views(
+          nbclos::sim::ShardPlan::build(net, view_shards).vertex_begin);
+    }
     return router;
   }
   throw std::invalid_argument(
       "routing '" + routing +
-      "' consults global queue state and cannot run sharded");
+      "' has no pure next-hop router (thm3 and dmodk do; random and "
+      "adaptive consult global queue state)");
 }
 
 int cmd_design(const std::vector<std::string>& args) {
@@ -348,7 +355,7 @@ int cmd_simulate(std::vector<std::string> args) {
   const auto shards = take_u32_flag(args, "--shards");
   std::size_t i = 0;
   const auto topo = parse_topo(args, i);
-  const double load = std::stod(args.at(i++));
+  const double load = nbclos::parse_rate(args.at(i++), "<load>");
   const std::string routing = args.at(i++);
   g_manifest_shards = shards.value_or(0);
 
@@ -434,7 +441,7 @@ int cmd_simulate(std::vector<std::string> args) {
 /// Cycle-level flow-control run: finite buffers, credits/on-off, wormhole
 /// or virtual cut-through — the effects `simulate` (ideal switches)
 /// abstracts away.  Only deterministic single-path routings make sense
-/// here, because the flit engine consumes a materialized channel cache.
+/// here, because the flit engine asks a pure ShardRouter for every hop.
 /// `--shards N` routes the run through flow::ShardedFlowSim (counter
 /// injection; results are shard-count independent); `kary:K,H` fabrics
 /// route destination-based up/down (the d-mod-k analogue).
@@ -443,7 +450,7 @@ int cmd_flow_sim(std::vector<std::string> args) {
   g_manifest_shards = shards.value_or(0);
   std::size_t i = 0;
   const auto topo = parse_topo(args, i);
-  const double load = std::stod(args.at(i++));
+  const double load = nbclos::parse_rate(args.at(i++), "<load>");
   std::string routing_name = topo.kary ? "dmodk" : "thm3";
   if (i < args.size() && args[i].rfind("--", 0) != 0) routing_name = args[i++];
 
@@ -490,33 +497,13 @@ int cmd_flow_sim(std::vector<std::string> args) {
         nbclos::FtreeParams{topo.n, topo.n * topo.n, topo.r});
     return nbclos::build_network(*ft);
   }();
-  std::shared_ptr<const nbclos::flow::RouteSource> routes;
-  std::string routing_label;
-  if (topo.kary) {
-    if (routing_name != "dmodk") {
-      throw std::invalid_argument(
-          "k-ary fabrics support only the dmodk routing");
-    }
-    // Pure O(1) dmodk arithmetic — no per-pair table, so k-ary fabrics
-    // scale to 10^6 terminals where the O(T^2) cache cannot exist.
-    routes = std::make_shared<const nbclos::flow::PureRouteSource>(
-        net, std::make_shared<const nbclos::sim::KaryDmodkRouter>(
-                 net, topo.k, topo.h));
-    routing_label = "kary-dmodk";
-  } else {
-    std::unique_ptr<nbclos::SinglePathRouting> routing;
-    if (routing_name == "thm3") {
-      routing = std::make_unique<nbclos::YuanNonblockingRouting>(*ft);
-    } else if (routing_name == "dmodk") {
-      routing = std::make_unique<nbclos::DModKRouting>(*ft);
-    } else {
-      throw std::invalid_argument("unknown routing: " + routing_name);
-    }
-    routes = std::make_shared<const nbclos::flow::CacheRouteSource>(
-        std::make_shared<const nbclos::routing::ChannelRouteCache>(
-            nbclos::routing::ChannelRouteCache::materialize(net, *routing)));
-    routing_label = routing->name();
-  }
+  std::shared_ptr<const nbclos::routing::ChannelRouteCache> cache;
+  const auto routes = std::make_shared<const nbclos::flow::RouteSource>(
+      net, make_shard_router(topo, ft.get(), net, routing_name, 0, cache));
+  const std::string routing_label =
+      topo.kary ? "kary-dmodk"
+      : routing_name == "thm3" ? "yuan-nonblocking"
+                               : "d-mod-k";
   const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
   const auto shift = topo.kary ? topo.k + 1 : topo.n + 1;
   const auto traffic = nbclos::sim::TrafficPattern::permutation(
@@ -713,7 +700,9 @@ std::vector<double> parse_rates_csv(const std::string& csv) {
   std::vector<double> rates;
   std::stringstream ss(csv);
   std::string item;
-  while (std::getline(ss, item, ',')) rates.push_back(std::stod(item));
+  while (std::getline(ss, item, ',')) {
+    rates.push_back(nbclos::parse_rate(item, "[rates_csv]"));
+  }
   return rates;
 }
 
@@ -726,7 +715,9 @@ int cmd_load_sweep(std::vector<std::string> args) {
       i < args.size() ? parse_rates_csv(args[i++])
                       : std::vector<double>{0.1, 0.3, 0.5, 0.7, 0.9, 1.0};
   const std::size_t threads =
-      i < args.size() ? parse_count<std::size_t>(args[i++], "[threads]") : 0;
+      i < args.size() ? parse_count<std::size_t>(args[i++], "[threads]",
+                                                 nbclos::ThreadPool::kMaxThreads)
+                      : 0;
   g_manifest_shards = shards.value_or(0);
 
   std::unique_ptr<nbclos::FoldedClos> ft;
@@ -795,7 +786,9 @@ int cmd_saturation(const std::vector<std::string>& args) {
   const std::uint32_t iterations =
       args.size() >= 4 ? arg_u32(args, 3, "[iterations]") : 6;
   const std::size_t threads =
-      args.size() >= 5 ? parse_count<std::size_t>(args[4], "[threads]") : 0;
+      args.size() >= 5 ? parse_count<std::size_t>(args[4], "[threads]",
+                                                  nbclos::ThreadPool::kMaxThreads)
+                       : 0;
 
   const nbclos::FoldedClos ft(nbclos::FtreeParams{n, n * n, r});
   const auto net = nbclos::build_network(ft);
@@ -909,7 +902,8 @@ int cmd_verify(const std::vector<std::string>& args) {
     if (flag == "--m") {
       m = parse_count(next(), flag);
     } else if (flag == "--threads") {
-      threads = parse_count<std::size_t>(next(), flag);
+      threads = parse_count<std::size_t>(next(), flag,
+                                         nbclos::ThreadPool::kMaxThreads);
     } else if (flag == "--trials") {
       trials = parse_count<std::uint64_t>(next(), flag);
     } else if (flag == "--restarts") {
@@ -1024,9 +1018,9 @@ int cmd_metrics_serve(std::vector<std::string> args) {
     nbclos::FoldedClos ft(nbclos::FtreeParams{4, 16, 8});
     const auto net = nbclos::build_network(ft);
     const nbclos::YuanNonblockingRouting routing(ft);
-    const auto cache =
+    const auto routes = std::make_shared<const nbclos::flow::RouteSource>(
         std::make_shared<const nbclos::routing::ChannelRouteCache>(
-            nbclos::routing::ChannelRouteCache::materialize(net, routing));
+            nbclos::routing::ChannelRouteCache::materialize(net, routing)));
     const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
     const auto traffic = nbclos::sim::TrafficPattern::permutation(
         nbclos::shift_permutation(terminals, 5), terminals);
@@ -1035,7 +1029,7 @@ int cmd_metrics_serve(std::vector<std::string> args) {
     config.warmup_cycles = 256;
     config.measure_cycles = 1024;
     config.record_timeseries = true;
-    nbclos::flow::FlowSim sim(cache, traffic, config);
+    nbclos::flow::FlowSim sim(routes, traffic, config);
     (void)sim.run();
     stash_recorder(sim.recorder());
   }
