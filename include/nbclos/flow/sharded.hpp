@@ -31,9 +31,10 @@
 ///      or eject), then send one *flit proposal* per non-empty VC of
 ///      each active channel to the channel's executor;
 ///   -- barrier 1 --
-///   B. executor role — merge local + mailbox proposals, sort by
-///      (channel, VC), and replay FlowSim::try_transmit's VC scan
-///      verbatim against local claim/credit state; emit a *transmit
+///   B. executor role — merge local + mailbox proposals into ascending
+///      (channel, VC) order (each run arrives in that order), and replay
+///      FlowSim::try_transmit's VC scan verbatim against local
+///      claim/credit state; emit a *transmit
 ///      grant* (winner VC + per-VC stall masks) back to the owner, a
 ///      *credit return* for every pop from a switch buffer, and a local
 ///      wire for the moved flit;
@@ -52,13 +53,15 @@
 /// `RouteSource` (a `ChannelRouteCache` table or a pure arithmetic
 /// router — both deterministic), counter-based injection, exact
 /// integer statistic merges, and per-executor ascending channel order
-/// (all cross-channel interaction within a cycle — claims, credit
-/// consumption — is confined to channels sharing a downstream vertex,
-/// i.e. one executor) make a run **bit-identical to serial FlowSim with
+/// (sorted prefix + merged tail; mailbox runs arrive ascending) make a
+/// run **bit-identical to serial FlowSim with
 /// `FlowConfig::counter_injection` at any shard count**, including under
 /// mid-run fault schedules, for wormhole and VCT switching and credit
-/// and on/off backpressure.  tests/flow/test_flow_sharded.cpp asserts
-/// every FlowResult field with EXPECT_EQ.
+/// and on/off backpressure.  Per-executor order suffices because all
+/// cross-channel interaction within a cycle — claims, credit
+/// consumption — is confined to channels sharing a downstream vertex,
+/// i.e. one executor.  tests/flow/test_flow_sharded.cpp asserts every
+/// FlowResult field with EXPECT_EQ.
 #pragma once
 
 #include <cstdint>

@@ -57,19 +57,6 @@ class SinglePathRouting {
     return paths;
   }
 
-  /// route_all into a reused buffer (cleared first) — no allocation once
-  /// the buffer has grown to pattern size.
-  void route_all_into(const std::vector<SDPair>& pattern,
-                      std::vector<FtreePath>& out) const {
-    out.clear();
-    out.reserve(pattern.size());
-    for (const auto sd : pattern) {
-      FtreePath path;
-      route_into(sd, path);
-      out.push_back(path);
-    }
-  }
-
  protected:
   /// Choose the top-level switch for a cross-switch SD pair.
   [[nodiscard]] virtual TopId top_for(SDPair sd) const = 0;

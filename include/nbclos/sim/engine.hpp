@@ -22,10 +22,10 @@
 /// lazily grown PacketRing whose memory follows its occupancy (nothing is
 /// allocated until a packet arrives), the mean queue depth is a
 /// maintained running sum, and latency quantiles come from a
-/// streaming histogram — no end-of-run sort.  Active lists are re-sorted
-/// by channel id before every sweep, so the visit order (and therefore
-/// every oracle/RNG consultation) is identical to a full ascending scan
-/// and results stay bit-reproducible.
+/// streaming histogram — no end-of-run sort.  Active lists are swept in
+/// ascending channel id (sorted prefix + merged tail), so the visit order
+/// (and therefore every oracle/RNG consultation) is identical to a full
+/// ascending scan and results stay bit-reproducible.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +41,7 @@
 #include "nbclos/sim/traffic.hpp"
 #include "nbclos/topology/network.hpp"
 #include "nbclos/util/stats.hpp"
+#include "nbclos/util/sweep_order.hpp"
 #include "nbclos/util/thread_pool.hpp"
 
 namespace nbclos::sim {
@@ -150,6 +151,56 @@ struct LinkUtilization {
   std::uint32_t max_channel = 0;      ///< argmax channel id
 };
 
+/// Round-robin admission to target queues, shared by PacketSim's
+/// arrivals and ShardedSim's admit phase.  With a fixed service order the
+/// lowest-id input would win every freed slot of a contended queue and
+/// its siblings starve — an arbitration artifact, not a network property.
+/// Candidates are offered in ascending proposer order; each target serves
+/// them in circular order starting after its previous winner: first those
+/// above it, then the rest.  A target's room only shrinks as it admits,
+/// so serving targets interleaved changes no outcome.
+class RoundRobinAdmission {
+ public:
+  explicit RoundRobinAdmission(std::size_t targets = 0)
+      : last_winner_(targets, 0) {}
+  /// Offer `item` from proposer `from` (ascending across calls) to `target`.
+  void offer(std::uint32_t target, std::uint32_t from, std::uint32_t item) {
+    candidates_.push_back(
+        Candidate{target, from, item, from > last_winner_[target]});
+  }
+  /// Settle every offer since the last call: `win(target, item)` in
+  /// service order while `room(target)` holds, else `lose(target, item)`.
+  template <typename Room, typename Win, typename Lose>
+  void settle(Room&& room, Win&& win, Lose&& lose) {
+    for (const bool above : {true, false}) {
+      for (const Candidate& c : candidates_) {
+        if (c.above_last_winner != above) continue;
+        if (room(c.target)) {
+          last_winner_[c.target] = c.from;
+          win(c.target, c.item);
+        } else {
+          lose(c.target, c.item);
+        }
+      }
+    }
+    candidates_.clear();
+  }
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return last_winner_.capacity() * sizeof(std::uint32_t) +
+           candidates_.capacity() * sizeof(Candidate);
+  }
+
+ private:
+  struct Candidate {
+    std::uint32_t target;
+    std::uint32_t from;
+    std::uint32_t item;
+    bool above_last_winner;  ///< served in the first round
+  };
+  std::vector<std::uint32_t> last_winner_;  ///< per target: winner's `from`
+  std::vector<Candidate> candidates_;       ///< this round, offer order
+};
+
 class PacketSim {
  public:
   /// All references must outlive the simulator.
@@ -201,7 +252,6 @@ class PacketSim {
   void step_arrivals();
   void step_transmissions();
   void step_injection();
-  void step_injection_counter();
   void deliver(const Packet& packet);
   /// Apply fault events due at now_; purge packets on channels that died.
   void apply_due_faults();
@@ -233,12 +283,10 @@ class PacketSim {
   // Active-channel tracking: `flying_` holds exactly the channels with a
   // valid in-flight packet (plus, transiently, channels purged by a fault
   // since the last sweep); `sendable_` holds exactly the channels with a
-  // non-empty queue.  Both are sorted by id before each sweep so the
-  // visit order matches a full ascending channel scan.
-  std::vector<std::uint32_t> flying_;
-  std::vector<std::uint32_t> sendable_;
-  std::vector<std::uint8_t> in_flying_;     ///< membership flags
-  std::vector<std::uint8_t> in_sendable_;
+  // non-empty queue.  Both are swept in ascending id order (sorted prefix
+  // + merged tail), so the visit order matches a full channel scan.
+  SweepList flying_;
+  SweepList sendable_;
 
   // Per-channel precomputed topology facts (avoids graph lookups per hop).
   std::vector<std::uint32_t> channel_dst_;
@@ -246,9 +294,7 @@ class PacketSim {
   std::vector<std::uint8_t> is_terminal_source_queue_;
 
   // Per-queue round-robin arbitration state (see step_arrivals).
-  std::vector<std::vector<std::uint32_t>> arrival_candidates_;
-  std::vector<std::uint32_t> arrival_targets_;
-  std::vector<std::uint32_t> rr_last_winner_;
+  RoundRobinAdmission admission_;
   std::vector<std::uint32_t> terminal_vertices_;
 
   Xoshiro256 rng_;

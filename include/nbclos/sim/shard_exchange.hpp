@@ -33,15 +33,19 @@
 /// arena's pages land on the worker's node.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <barrier>
 #include <cstdint>
 #include <exception>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "nbclos/topology/network.hpp"
 #include "nbclos/util/check.hpp"
+#include "nbclos/util/sweep_order.hpp"
 
 namespace nbclos::sim {
 
@@ -53,6 +57,8 @@ namespace nbclos::sim {
 /// so each shard also owns a contiguous terminal range and injection is
 /// always shard-local.
 struct ShardPlan {
+  static constexpr std::uint32_t kMaxShards = 64;
+
   std::uint32_t shard_count = 1;
   std::vector<std::uint32_t> vertex_begin;  ///< shard_count + 1 boundaries
   std::vector<std::uint8_t> channel_owner;  ///< per channel: owning shard
@@ -63,7 +69,7 @@ struct ShardPlan {
   std::vector<std::vector<std::uint32_t>> shard_channels;  ///< global ids, asc
 
   /// Build the plan for `net` (requested shard count is clamped to
-  /// [1, min(vertex_count, 64)]).  Pure function of (net, shards).
+  /// [1, min(vertex_count, kMaxShards)]).  Pure function of (net, shards).
   [[nodiscard]] static ShardPlan build(const Network& net,
                                        std::uint32_t shards);
 
@@ -108,6 +114,27 @@ class MailboxGrid {
       if (b.empty()) continue;
       fn(src, b);
       b.clear();
+    }
+  }
+
+  /// Drain every box addressed to `dst`, plus `local` (the messages
+  /// shard `dst` sent itself), into `out` as one sequence ascending under
+  /// `less`, raising `peak` to the largest box.  Each producer writes its
+  /// box in ascending order, so a K-way merge of the runs replaces a
+  /// sort.  Only shard `dst` may call this (SPSC contract).
+  template <typename Less>
+  void drain_merged_to(std::uint32_t dst, std::vector<T>& local,
+                       std::vector<T>& out, std::uint64_t& peak, Less less) {
+    std::array<std::span<const T>, ShardPlan::kMaxShards + 1> runs;
+    runs[0] = local;
+    for (std::uint32_t src = 0; src < shards_; ++src) {
+      runs[src + 1] = boxes_[std::size_t{src} * shards_ + dst];
+      peak = std::max<std::uint64_t>(peak, runs[src + 1].size());
+    }
+    merge_runs(std::span(runs.data(), shards_ + 1), out, less);
+    local.clear();
+    for (std::uint32_t src = 0; src < shards_; ++src) {
+      boxes_[std::size_t{src} * shards_ + dst].clear();
     }
   }
 

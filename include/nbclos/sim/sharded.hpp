@@ -19,11 +19,12 @@
 ///      next channel: a local list when the owner is this shard, else a
 ///      per-(src, dst)-shard SPSC mailbox;
 ///   -- barrier 1 (every proposal is visible to its target's owner) --
-///   B. admission: merge local + mailbox proposals, sort by
-///      (target, proposing channel), and run PacketSim's per-queue
-///      round-robin arbitration verbatim; winners enter the target
-///      queue, and every proposer gets an accept/reject *ack* (local or
-///      via the reverse mailboxes);
+///   B. admission: merge local + mailbox proposals (each run arrives
+///      ascending by proposing channel) and offer them in that order to
+///      the per-queue round-robin arbitration PacketSim uses
+///      (`RoundRobinAdmission`); winners enter the target queue, and
+///      every proposer gets an accept/reject *ack* (local or via the
+///      reverse mailboxes);
 ///   -- barrier 2 (every ack is visible to its proposer's owner) --
 ///   C. resolve acks (losers stall on their channel, exactly
 ///      PacketSim's backpressure), start transmissions, inject new
@@ -36,8 +37,9 @@
 /// written in B(n) is drained in C(n), which happens-before the next
 /// write in B(n+1) via barrier 1 of cycle n+1.
 ///
-/// Determinism contract: because the cut is deterministic, proposals are
-/// merged in sorted order, round-robin state transfers verbatim, and all
+/// Determinism contract: because the cut is deterministic, active lists
+/// are swept in ascending order (sorted prefix + merged tail; mailbox runs
+/// arrive ascending), round-robin state transfers verbatim, and all
 /// merged statistics use exact integer arithmetic (replayed in cycle
 /// order where PacketSim streams doubles), a run is **bit-identical at
 /// any shard count** and bit-identical to `PacketSim` run with

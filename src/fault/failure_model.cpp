@@ -40,25 +40,11 @@ void FailureModel::fail_uplink_pair(const FoldedClos& ftree, BottomId b,
   fail_channel(ftree.down_link(t, b).value, cycle);
 }
 
-void FailureModel::recover_uplink_pair(const FoldedClos& ftree, BottomId b,
-                                       TopId t, std::uint64_t cycle) {
-  require_ftree_net(ftree);
-  recover_channel(ftree.up_link(b, t).value, cycle);
-  recover_channel(ftree.down_link(t, b).value, cycle);
-}
-
 void FailureModel::fail_top_switch(const FoldedClos& ftree, TopId t,
                                    std::uint64_t cycle) {
   require_ftree_net(ftree);
   NBCLOS_REQUIRE(t.value < ftree.top_count(), "top switch id out of range");
   fail_vertex(FtreeNetworkMap{ftree.params()}.top(t), cycle);
-}
-
-void FailureModel::recover_top_switch(const FoldedClos& ftree, TopId t,
-                                      std::uint64_t cycle) {
-  require_ftree_net(ftree);
-  NBCLOS_REQUIRE(t.value < ftree.top_count(), "top switch id out of range");
-  recover_vertex(FtreeNetworkMap{ftree.params()}.top(t), cycle);
 }
 
 std::vector<std::pair<BottomId, TopId>> FailureModel::shuffled_uplink_pairs(
@@ -85,25 +71,6 @@ void FailureModel::inject_random_uplink_failures(const FoldedClos& ftree,
                  "cannot fail more uplink pairs than the ftree has");
   for (std::uint32_t i = 0; i < count; ++i) {
     fail_uplink_pair(ftree, pairs[i].first, pairs[i].second, cycle);
-  }
-}
-
-void FailureModel::inject_random_top_failures(const FoldedClos& ftree,
-                                              std::uint32_t count,
-                                              std::uint64_t seed,
-                                              std::uint64_t cycle) {
-  require_ftree_net(ftree);
-  NBCLOS_REQUIRE(count <= ftree.top_count(),
-                 "cannot fail more top switches than the ftree has");
-  std::vector<TopId> tops;
-  tops.reserve(ftree.top_count());
-  for (std::uint32_t t = 0; t < ftree.top_count(); ++t) {
-    tops.push_back(TopId{t});
-  }
-  Xoshiro256 rng(seed);
-  shuffle(tops.begin(), tops.end(), rng);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    fail_top_switch(ftree, tops[i], cycle);
   }
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 
 #include "nbclos/obs/trace.hpp"
@@ -43,7 +45,6 @@ FlowSim::FlowSim(std::shared_ptr<const RouteSource> routes,
       dst_is_terminal_(net_->channel_count(), 0),
       next_vc_(net_->channel_count(), 0),
       channel_flits_(net_->channel_count(), 0),
-      in_active_(net_->channel_count(), 0),
       pool_(count_switch_source_channels(routes_->network()) * config.vcs,
             net_->channel_count() -
                 count_switch_source_channels(routes_->network()),
@@ -121,7 +122,7 @@ FlowSim::FlowSim(std::shared_ptr<const RouteSource> routes,
   }
   peak_per_vc_.assign(config.vcs, 0);
   busy_wires_.reserve(net_->channel_count());
-  active_.reserve(net_->channel_count());
+  active_.reset(net_->channel_count());
   link_busy_flits_.assign(net_->channel_count(), 0);
   stall_metric_ = &obs::metrics().histogram("flow.stall_cycles", kStallHistCap);
   if constexpr (obs::kEnabled) arm_recorder();
@@ -164,12 +165,6 @@ void FlowSim::sample_recorder() {
                    static_cast<std::int64_t>(injected_));
   recorder_.record(rec_delivered_, 0, now_,
                    static_cast<std::int64_t>(delivered_packets_));
-}
-
-void FlowSim::activate(std::uint32_t channel) {
-  if (in_active_[channel]) return;
-  in_active_[channel] = 1;
-  active_.push_back(channel);
 }
 
 void FlowSim::note_blocked(std::uint32_t b, bool credit_block) {
@@ -327,13 +322,15 @@ void FlowSim::eject(FlitRef flit) {
 }
 
 void FlowSim::step_arrivals() {
-  // Sorting fixes the ejection order, so the latency accumulators see
-  // deliveries in ascending channel order — the same order PacketSim's
-  // sorted flying_ sweep produces (bit-reproducibility of Welford sums).
-  std::sort(busy_wires_.begin(), busy_wires_.end(),
-            [](const BusyWire& a, const BusyWire& b) {
-              return a.channel < b.channel;
-            });
+  // The ascending transmit sweep pushed at most one wire per channel, in
+  // channel order, so the latency accumulators see deliveries in
+  // ascending channel order — the same order PacketSim's flying_ sweep
+  // produces (bit-reproducibility of Welford sums).
+  NBCLOS_DEBUG_CHECK(std::is_sorted(busy_wires_.begin(), busy_wires_.end(),
+                                    [](const BusyWire& a, const BusyWire& b) {
+                                      return a.channel < b.channel;
+                                    }),
+                     "wires must be pushed in ascending channel order");
   for (const auto& w : busy_wires_) {
     if (w.target == kEject) {
       eject(w.flit);
@@ -341,7 +338,7 @@ void FlowSim::step_arrivals() {
       pool_.push(w.target, w.flit);
       const std::uint32_t oc = owner_channel_of(w.target);
       ++channel_flits_[oc];
-      activate(oc);
+      active_.push(oc);
       if (onoff_ != nullptr) onoff_->mark_dirty(w.target);
       const std::uint32_t vc = w.target - buf_base_[oc];
       if (pool_.size(w.target) > peak_per_vc_[vc]) {
@@ -359,23 +356,11 @@ void FlowSim::step_arrivals() {
 }
 
 void FlowSim::step_transmissions() {
-  std::sort(active_.begin(), active_.end());
-  std::size_t keep = 0;
-  const std::size_t active_count = active_.size();
-  for (std::size_t i = 0; i < active_count; ++i) {
-    const auto c = active_[i];
-    if (channel_flits_[c] == 0) {  // drained since the last sweep
-      in_active_[c] = 0;
-      continue;
-    }
-    (void)try_transmit(c);
-    if (channel_flits_[c] == 0) {
-      in_active_[c] = 0;
-      continue;
-    }
-    active_[keep++] = c;
-  }
-  active_.resize(keep);
+  active_.sweep([&](std::uint32_t c) {
+    // A channel drained since the last sweep transmits nothing.
+    if (channel_flits_[c] != 0) (void)try_transmit(c);
+    return channel_flits_[c] != 0;
+  });
 }
 
 void FlowSim::inject_packet(std::uint32_t t, std::uint32_t dst) {
@@ -404,7 +389,7 @@ void FlowSim::inject_packet(std::uint32_t t, std::uint32_t dst) {
     pool_.push(b, FlitRef{slot, f});
   }
   channel_flits_[first] += config_.packet_flits;
-  activate(first);
+  active_.push(first);
   flits_in_system_ += config_.packet_flits;
   if (packets_.live() > peak_live_packets_) {
     peak_live_packets_ = packets_.live();
@@ -412,29 +397,26 @@ void FlowSim::inject_packet(std::uint32_t t, std::uint32_t dst) {
 }
 
 void FlowSim::step_injection() {
+  // Counter mode keys every draw purely by (seed, cycle, terminal) — the
+  // discipline ShardedFlowSim replays over its owned terminal ranges.
+  // Legacy mode mirrors PacketSim::step_injection draw for draw (one
+  // bernoulli, then one destination draw, terminals ascending) — the
+  // shared RNG sequence is what makes the cross-engine golden
+  // equivalence exact.
   const auto terminal_count =
       static_cast<std::uint32_t>(terminal_vertices_.size());
-  if (config_.counter_injection) {
-    // Every draw is a pure function of (seed, cycle, terminal) — the
-    // discipline ShardedFlowSim replays over its owned terminal ranges.
-    for (std::uint32_t t = 0; t < terminal_count; ++t) {
+  for (std::uint32_t t = 0; t < terminal_count; ++t) {
+    std::optional<std::uint32_t> dst;
+    if (config_.counter_injection) {
       SplitMix64 sm(sim::injection_counter_state(config_.seed, now_, t));
       if (!sim::injection_bernoulli(sm, packet_rate_)) continue;
       Xoshiro256 dest_rng(sm.next());
-      const auto dst = traffic_->destination(t, dest_rng);
-      if (!dst.has_value()) continue;
-      inject_packet(t, *dst);
+      dst = traffic_->destination(t, dest_rng);
+    } else {
+      if (!rng_.bernoulli(packet_rate_)) continue;
+      dst = traffic_->destination(t, rng_);
     }
-    return;
-  }
-  // Mirrors PacketSim::step_injection draw for draw (one bernoulli, then
-  // one destination draw, terminals ascending) — the shared RNG sequence
-  // is what makes the cross-engine golden equivalence exact.
-  for (std::uint32_t t = 0; t < terminal_count; ++t) {
-    if (!rng_.bernoulli(packet_rate_)) continue;
-    const auto dst = traffic_->destination(t, rng_);
-    if (!dst.has_value()) continue;
-    inject_packet(t, *dst);
+    if (dst.has_value()) inject_packet(t, *dst);
   }
 }
 
@@ -476,32 +458,33 @@ void finalize_forensics(DeadlockForensics& forensics) {
             [](const BlockedBufferReport& a, const BlockedBufferReport& b) {
               return a.buffer < b.buffer;
             });
-  const auto find = [&](std::uint32_t buffer) -> std::ptrdiff_t {
+  constexpr std::size_t kNoNode = SIZE_MAX;
+  const auto find = [&](std::uint32_t buffer) -> std::size_t {
     const auto it = std::lower_bound(
         blocked.begin(), blocked.end(), buffer,
         [](const BlockedBufferReport& r, std::uint32_t key) {
           return r.buffer < key;
         });
-    if (it == blocked.end() || it->buffer != buffer) return -1;
-    return it - blocked.begin();
+    if (it == blocked.end() || it->buffer != buffer) return kNoNode;
+    return static_cast<std::size_t>(it - blocked.begin());
   };
   // Walk the waiting_for edges (each node has out-degree <= 1, so the
   // reachable set from any start is a rho shape: tail + at most one
   // cycle).  Three-state marking keeps the whole pass O(n).
   std::vector<std::uint8_t> state(blocked.size(), 0);  // 0 new, 1 path, 2 done
-  std::vector<std::ptrdiff_t> path;
+  std::vector<std::size_t> path;
   for (std::size_t s = 0; s < blocked.size() && forensics.wait_cycle.empty();
        ++s) {
     if (state[s] != 0) continue;
     path.clear();
-    std::ptrdiff_t i = static_cast<std::ptrdiff_t>(s);
-    while (i >= 0 && state[i] == 0) {
+    std::size_t i = s;
+    while (i != kNoNode && state[i] == 0) {
       state[i] = 1;
       path.push_back(i);
       const std::uint32_t next = blocked[i].waiting_for;
-      i = next == BlockedBufferReport::kWaitsOnNone ? -1 : find(next);
+      i = next == BlockedBufferReport::kWaitsOnNone ? kNoNode : find(next);
     }
-    if (i >= 0 && state[i] == 1) {
+    if (i != kNoNode && state[i] == 1) {
       const auto start = std::find(path.begin(), path.end(), i);
       for (auto it = start; it != path.end(); ++it) {
         blocked[*it].on_cycle = true;

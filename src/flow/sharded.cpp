@@ -54,12 +54,11 @@ struct ShardedFlowSim::Shard {
   std::unique_ptr<CreditLedger> ledger;
   std::unique_ptr<OnOffSignal> onoff;
 
-  // Per owned channel (plan.channel_local index), except `active` which
-  // keeps GLOBAL channel ids so its sorted sweep order equals serial's.
+  // Per owned channel (plan.channel_local index; local ids ascend with
+  // global ids, so `active`'s ascending sweep order equals serial's).
   std::vector<std::uint32_t> next_vc;
   std::vector<std::uint32_t> channel_flits;
-  std::vector<std::uint8_t> in_active;
-  std::vector<std::uint32_t> active;
+  SweepList active;
   std::vector<std::uint32_t> channel_of_local_buf;  ///< local buf -> channel
 
   // Executor role: wires created in phase B, landed in phase A next
@@ -332,8 +331,7 @@ void ShardedFlowSim::init_shard_arena(std::uint32_t s) {
   const auto count = static_cast<std::uint32_t>(plan_.shard_channels[s].size());
   sh.next_vc.assign(count, 0);
   sh.channel_flits.assign(count, 0);
-  sh.in_active.assign(count, 0);
-  sh.active.reserve(count);
+  sh.active.reset(count);
   sh.peak_per_vc.assign(config_.vcs, 0);
   sh.delivered_per_source.assign(terminal_count_, 0);
   sh.flow_sequence.assign(sh.term_hi - sh.term_lo, 0);
@@ -434,10 +432,7 @@ void ShardedFlowSim::phase_owner_pre(Shard& sh, std::uint64_t now,
     const std::uint32_t oc = sh.channel_of_local_buf[lb];
     const std::uint32_t li = plan_.channel_local[oc];
     ++sh.channel_flits[li];
-    if (!sh.in_active[li]) {
-      sh.in_active[li] = 1;
-      sh.active.push_back(oc);
-    }
+    sh.active.push(li);
     if (sh.onoff != nullptr) sh.onoff->mark_dirty(lb);
     const std::uint32_t vc = w.target - buf_base_[oc];
     if (sh.pool->size(lb) > sh.peak_per_vc[vc]) {
@@ -452,21 +447,17 @@ void ShardedFlowSim::phase_owner_pre(Shard& sh, std::uint64_t now,
   sh.wires.clear();
 
   // Proposals: one per non-empty VC of each active, usable channel, sent
-  // to the channel's executor.  Sorted sweep + compaction mirror serial
+  // to the channel's executor.  The ascending sweep mirrors serial
   // step_transmissions (a drained channel leaves the list; a dead one
-  // stays, transmitting nothing).
-  std::sort(sh.active.begin(), sh.active.end());
-  std::size_t keep = 0;
-  const std::size_t active_count = sh.active.size();
-  for (std::size_t i = 0; i < active_count; ++i) {
-    const std::uint32_t c = sh.active[i];
-    const std::uint32_t li = plan_.channel_local[c];
-    if (sh.channel_flits[li] == 0) {  // drained since the last sweep
-      sh.in_active[li] = 0;
-      continue;
+  // stays, transmitting nothing) and writes every box ascending by
+  // (channel, VC).
+  const auto& owned = plan_.shard_channels[sh.index];
+  sh.active.sweep([&](std::uint32_t li) {
+    if (sh.channel_flits[li] == 0) return false;  // drained since last sweep
+    const std::uint32_t c = owned[li];
+    if (sh.degraded.has_value() && !sh.degraded->channel_alive(c)) {
+      return true;
     }
-    sh.active[keep++] = c;
-    if (sh.degraded.has_value() && !sh.degraded->channel_alive(c)) continue;
     const std::uint32_t vc_count = is_nic_[c] ? 1u : config_.vcs;
     const auto start = static_cast<std::uint8_t>(sh.next_vc[li]);
     const std::uint32_t executor = channel_executor_[c];
@@ -488,8 +479,8 @@ void ShardedFlowSim::phase_owner_pre(Shard& sh, std::uint64_t now,
         ++sh.cross_flits;
       }
     }
-  }
-  sh.active.resize(keep);
+    return true;
+  });
 }
 
 std::uint32_t ShardedFlowSim::allocate_downstream(Shard& sh,
@@ -528,23 +519,17 @@ std::uint32_t ShardedFlowSim::allocate_downstream(Shard& sh,
 
 void ShardedFlowSim::phase_execute(Shard& sh, std::uint64_t now) {
   (void)now;
-  // Merge this shard's own proposals with the mailboxed ones, then
-  // canonicalize: ascending (channel, vc).  Per-executor ascending
-  // channel order IS serial order for all cross-channel interaction,
-  // because claims and credit consumption only couple channels sharing a
-  // downstream vertex — which share this executor.
-  sh.merged_props.clear();
-  sh.merged_props.swap(sh.local_props);
-  proposal_box_.drain_to(
-      sh.index, [&](std::uint32_t /*src*/, std::vector<FlitProposal>& box) {
-        sh.mailbox_peak = std::max<std::uint64_t>(sh.mailbox_peak, box.size());
-        sh.merged_props.insert(sh.merged_props.end(), box.begin(), box.end());
+  // Merge this shard's own proposals with the mailboxed ones: every run
+  // arrives ascending by (channel, vc), so the merge is canonical order.
+  // Per-executor ascending channel order IS serial order for all
+  // cross-channel interaction, because claims and credit consumption
+  // only couple channels sharing a downstream vertex — which share this
+  // executor.
+  proposal_box_.drain_merged_to(
+      sh.index, sh.local_props, sh.merged_props, sh.mailbox_peak,
+      [](const FlitProposal& a, const FlitProposal& b) {
+        return a.channel != b.channel ? a.channel < b.channel : a.vc < b.vc;
       });
-  std::sort(sh.merged_props.begin(), sh.merged_props.end(),
-            [](const FlitProposal& a, const FlitProposal& b) {
-              return a.channel != b.channel ? a.channel < b.channel
-                                           : a.vc < b.vc;
-            });
 
   std::size_t i = 0;
   while (i < sh.merged_props.size()) {
@@ -674,21 +659,15 @@ void ShardedFlowSim::apply_grant(Shard& sh, const TransmitGrant& g,
 }
 
 void ShardedFlowSim::phase_owner_post(Shard& sh, std::uint64_t now) {
-  // Grants: merge, sort by channel (one grant per channel), apply — the
-  // ascending order reproduces serial's sorted transmission sweep as
-  // seen by this owner's buffers.
-  sh.merged_grants.clear();
-  sh.merged_grants.swap(sh.local_grants);
-  grant_box_.drain_to(
-      sh.index, [&](std::uint32_t /*src*/, std::vector<TransmitGrant>& box) {
-        sh.mailbox_peak = std::max<std::uint64_t>(sh.mailbox_peak, box.size());
-        sh.merged_grants.insert(sh.merged_grants.end(), box.begin(),
-                                box.end());
+  // Grants: one per channel, every run ascending by channel (executors
+  // walk their merged proposals in order); the merged order reproduces
+  // serial's ascending transmission sweep as seen by this owner's
+  // buffers.
+  grant_box_.drain_merged_to(
+      sh.index, sh.local_grants, sh.merged_grants, sh.mailbox_peak,
+      [](const TransmitGrant& a, const TransmitGrant& b) {
+        return a.channel < b.channel;
       });
-  std::sort(sh.merged_grants.begin(), sh.merged_grants.end(),
-            [](const TransmitGrant& a, const TransmitGrant& b) {
-              return a.channel < b.channel;
-            });
   for (const TransmitGrant& g : sh.merged_grants) apply_grant(sh, g, now);
 
   // Returning credits (delay-line scheduling is commutative, so drain
@@ -741,10 +720,7 @@ void ShardedFlowSim::phase_owner_post(Shard& sh, std::uint64_t now) {
     }
     const std::uint32_t li = plan_.channel_local[first];
     sh.channel_flits[li] += config_.packet_flits;
-    if (!sh.in_active[li]) {
-      sh.in_active[li] = 1;
-      sh.active.push_back(first);
-    }
+    sh.active.push(li);
     sh.flits_in_system += config_.packet_flits;
     sh.acq_by_cycle[now] += 1;
   }

@@ -11,8 +11,12 @@
 #include "nbclos/obs/metrics.hpp"  // NBCLOS_OBS_ENABLED default
 #include "nbclos/util/json.hpp"
 
-// Build facts injected by src/obs/CMakeLists.txt; the fallbacks keep
-// non-CMake compiles (e.g. IDE single-file checks) working.
+// Build facts injected by src/obs/CMakeLists.txt (the git sha through a
+// header generated at build time); the fallbacks keep non-CMake compiles
+// (e.g. IDE single-file checks) working.
+#if __has_include("nbclos_git_sha.hpp")
+#include "nbclos_git_sha.hpp"
+#endif
 #ifndef NBCLOS_VERSION_STRING
 #define NBCLOS_VERSION_STRING "0.0.0"
 #endif

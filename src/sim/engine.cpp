@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "nbclos/obs/metrics.hpp"
 #include "nbclos/sim/injection_rng.hpp"
@@ -38,7 +39,6 @@ PacketSim::PacketSim(const Network& net, RoutingOracle& oracle,
       degraded_(degraded), fault_events_(std::move(fault_events)),
       flight_(net.channel_count()),
       queue_depth_(net.channel_count(), 0),
-      in_flying_(net.channel_count(), 0), in_sendable_(net.channel_count(), 0),
       channel_dst_(net.channel_count(), 0),
       dst_is_terminal_(net.channel_count(), 0),
       is_terminal_source_queue_(net.channel_count(), 0),
@@ -67,8 +67,7 @@ PacketSim::PacketSim(const Network& net, RoutingOracle& oracle,
   }
   flow_sequence_.assign(terminal_vertices_.size(), 0);
   delivered_per_source_.assign(terminal_vertices_.size(), 0);
-  arrival_candidates_.resize(net.channel_count());
-  rr_last_winner_.assign(net.channel_count(), 0);
+  admission_ = RoundRobinAdmission(net.channel_count());
   // A channel whose source vertex is a terminal is that terminal's NIC
   // send queue: unbounded, so offered load is never silently dropped.
   queues_.reserve(net.channel_count());
@@ -82,8 +81,8 @@ PacketSim::PacketSim(const Network& net, RoutingOracle& oracle,
                                                       : config.queue_capacity);
     if (!is_terminal_source_queue_[c]) ++switch_channel_count_;
   }
-  flying_.reserve(net.channel_count());
-  sendable_.reserve(net.channel_count());
+  flying_.reset(net.channel_count());
+  sendable_.reset(net.channel_count());
   link_busy_flits_.assign(net.channel_count(), 0);
   if constexpr (obs::kEnabled) {
     busy_counter_ = &obs::metrics().counter("sim.link.busy_flit_cycles");
@@ -133,10 +132,7 @@ void PacketSim::queue_push(std::uint32_t channel, const Packet& packet) {
     ++queue_depth_[channel];
     ++switch_depth_sum_;
   }
-  if (!in_sendable_[channel]) {
-    in_sendable_[channel] = 1;
-    sendable_.push_back(channel);
-  }
+  sendable_.push(channel);
 }
 
 Packet PacketSim::queue_pop(std::uint32_t channel) {
@@ -199,37 +195,21 @@ void PacketSim::apply_due_faults() {
 }
 
 void PacketSim::step_arrivals() {
-  // Two-phase arrival with per-queue round-robin arbitration.  With a
-  // fixed service order the lowest-id input wins every freed slot of a
-  // contended queue and its siblings starve — an arbitration artifact,
-  // not a network property.  Phase 1 collects, per target queue, the
-  // channels whose head packet wants it; phase 2 admits them in circular
-  // id order starting after the queue's previous winner.
-  //
-  // Sorting restores ascending channel-id order (appends in the other
-  // steps scramble it), so oracles are consulted in the same order as a
-  // full channel scan — required for bit-reproducibility.
-  std::sort(flying_.begin(), flying_.end());
-  arrival_targets_.clear();
-  std::size_t keep = 0;
-  const std::size_t flying_count = flying_.size();
-  for (std::size_t i = 0; i < flying_count; ++i) {
-    const auto c = flying_[i];
+  // Two-phase arrival: the sweep offers every head packet that wants a
+  // switch queue to that queue, then the queues admit their candidates
+  // round-robin (RoundRobinAdmission).  The sweep visits channels in
+  // ascending id order (the entries the other steps appended are merged
+  // in), so oracles are consulted in the same order as a full channel
+  // scan — required for bit-reproducibility.
+  flying_.sweep([&](std::uint32_t c) {
     auto& fl = flight_[c];
-    if (!fl.valid) {  // purged by a fault since the last sweep
-      in_flying_[c] = 0;
-      continue;
-    }
-    if (fl.arrival_cycle > now_) {
-      flying_[keep++] = c;
-      continue;
-    }
+    if (!fl.valid) return false;  // purged by a fault since the last sweep
+    if (fl.arrival_cycle > now_) return true;
     if (dst_is_terminal_[c]) {
       NBCLOS_ASSERT(channel_dst_[c] == fl.packet.dst_terminal);
       deliver(fl.packet);
       fl.valid = false;
-      in_flying_[c] = 0;
-      continue;
+      return false;
     }
     // Route at the switch; the oracle is re-consulted on every retry,
     // so adaptive policies can steer around persistent congestion.
@@ -241,53 +221,29 @@ void PacketSim::step_arrivals() {
       // picked a dead channel: the packet is lost.
       ++dropped_packets_;
       fl.valid = false;
-      in_flying_[c] = 0;
-      continue;
+      return false;
     }
     NBCLOS_ASSERT(net_->channel(next).src == at);
-    // Candidates leave the kept range; phase 2 re-appends the losers.
-    auto& waiting = arrival_candidates_[next];
-    if (waiting.empty()) arrival_targets_.push_back(next);
-    waiting.push_back(c);
-  }
-  flying_.resize(keep);
-  for (const auto target : arrival_targets_) {
-    auto& waiting = arrival_candidates_[target];
-    // Serve in circular order starting after the last winner (credits
-    // permitting); losers stall on their channels (backpressure).
-    std::size_t start = 0;
-    for (std::size_t i = 0; i < waiting.size(); ++i) {
-      if (waiting[i] > rr_last_winner_[target]) {
-        start = i;
-        break;
-      }
-    }
-    std::size_t i = 0;
-    for (; i < waiting.size() && queue_depth_[target] < config_.queue_capacity;
-         ++i) {
-      const auto c = waiting[(start + i) % waiting.size()];
-      queue_push(target, flight_[c].packet);
-      flight_[c].valid = false;
-      in_flying_[c] = 0;
-      rr_last_winner_[target] = c;
-    }
-    for (; i < waiting.size(); ++i) {
-      flying_.push_back(waiting[(start + i) % waiting.size()]);
-    }
-    waiting.clear();
-  }
+    // Candidates leave the list; the losers are re-appended below.
+    admission_.offer(next, c, c);
+    return false;
+  });
+  // Losers stall on their channels (backpressure).
+  admission_.settle(
+      [&](std::uint32_t target) {
+        return queue_depth_[target] < config_.queue_capacity;
+      },
+      [&](std::uint32_t target, std::uint32_t c) {
+        queue_push(target, flight_[c].packet);
+        flight_[c].valid = false;
+      },
+      [&](std::uint32_t, std::uint32_t c) { flying_.push(c); });
 }
 
 void PacketSim::step_transmissions() {
-  std::sort(sendable_.begin(), sendable_.end());
-  std::size_t keep = 0;
-  const std::size_t sendable_count = sendable_.size();
-  for (std::size_t i = 0; i < sendable_count; ++i) {
-    const auto c = sendable_[i];
-    if (queues_[c].size() == 0) {  // drained or fault-purged since last sweep
-      in_sendable_[c] = 0;
-      continue;
-    }
+  sendable_.sweep([&](std::uint32_t c) {
+    // Drained or fault-purged since the last sweep: leave the list.
+    if (queues_[c].size() == 0) return false;
     auto& fl = flight_[c];
     if (!fl.valid && channel_usable(c)) {  // dead channels do not transmit
       fl.packet = queue_pop(c);
@@ -299,28 +255,30 @@ void PacketSim::step_transmissions() {
       // `sim.link.busy_flits` recorder series.
       link_busy_flits_[c] += fl.packet.size_flits;
       busy_flit_total_ += fl.packet.size_flits;
-      if (!in_flying_[c]) {
-        in_flying_[c] = 1;
-        flying_.push_back(c);
-      }
-      if (queues_[c].size() == 0) {
-        in_sendable_[c] = 0;
-        continue;
-      }
+      flying_.push(c);
     }
-    sendable_[keep++] = c;
-  }
-  sendable_.resize(keep);
+    return queues_[c].size() != 0;
+  });
 }
 
 void PacketSim::step_injection() {
-  if (config_.counter_injection) {
-    step_injection_counter();
-    return;
-  }
+  // Legacy mode draws from the sequential rng_ (one bernoulli, then one
+  // destination draw, terminals ascending).  Counter mode
+  // (SimConfig::counter_injection) never touches rng_: each terminal's
+  // draws come from a generator keyed purely by (seed, cycle, terminal) —
+  // the identical stream ShardedSim's workers produce, whichever shard
+  // owns `t`.
   for (std::uint32_t t = 0; t < terminal_vertices_.size(); ++t) {
-    if (!rng_.bernoulli(packet_rate_)) continue;
-    const auto dst = traffic_->destination(t, rng_);
+    std::optional<std::uint32_t> dst;
+    if (config_.counter_injection) {
+      SplitMix64 sm(injection_counter_state(config_.seed, now_, t));
+      if (!injection_bernoulli(sm, packet_rate_)) continue;
+      Xoshiro256 dest_rng(sm.next());
+      dst = traffic_->destination(t, dest_rng);
+    } else {
+      if (!rng_.bernoulli(packet_rate_)) continue;
+      dst = traffic_->destination(t, rng_);
+    }
     if (!dst.has_value()) continue;
     Packet packet;
     packet.id = next_packet_id_++;
@@ -340,36 +298,6 @@ void PacketSim::step_injection() {
     }
     // Terminal source queues are unbounded: depth is not tracked against
     // capacity, matching an infinite NIC send queue.
-    queue_push(channel, packet);
-  }
-}
-
-void PacketSim::step_injection_counter() {
-  // Counter-based injection (SimConfig::counter_injection): the engine's
-  // sequential rng_ is never touched, and each terminal's draws come from
-  // a generator keyed purely by (seed, cycle, terminal) — the identical
-  // stream ShardedSim's workers produce, whichever shard owns `t`.
-  for (std::uint32_t t = 0; t < terminal_vertices_.size(); ++t) {
-    SplitMix64 sm(injection_counter_state(config_.seed, now_, t));
-    if (!injection_bernoulli(sm, packet_rate_)) continue;
-    Xoshiro256 dest_rng(sm.next());
-    const auto dst = traffic_->destination(t, dest_rng);
-    if (!dst.has_value()) continue;
-    Packet packet;
-    packet.id = next_packet_id_++;
-    packet.src_terminal = terminal_vertices_[t];
-    packet.dst_terminal = terminal_vertices_[*dst];
-    packet.size_flits = config_.packet_size;
-    packet.injected_cycle = now_;
-    packet.flow_sequence = flow_sequence_[t]++;
-    ++oracle_calls_;
-    const auto channel =
-        oracle_->next_channel(view_, terminal_vertices_[t], packet);
-    ++injected_;
-    if (channel == fault::kNoRoute || !channel_usable(channel)) {
-      ++dropped_packets_;
-      continue;
-    }
     queue_push(channel, packet);
   }
 }

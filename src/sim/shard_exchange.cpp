@@ -12,7 +12,6 @@
 namespace nbclos::sim {
 
 namespace {
-constexpr std::uint32_t kMaxShards = 64;
 
 /// Parse a sysfs cpulist ("0-3,8,10-11") into cpu ids.  Malformed input
 /// yields an empty list (callers fall back to the flat topology).

@@ -12,8 +12,8 @@ namespace nbclos::sim {
 /// All mutable per-shard simulation state — one arena per worker, never
 /// touched by any other thread.  Per-channel arrays are locally indexed
 /// (plan.channel_local), and local ids ascend with global channel id, so
-/// sorted sweeps over `flying`/`sendable` (which store *global* ids)
-/// visit channels in the same relative order as PacketSim's global scan.
+/// ascending sweeps over `flying`/`sendable` (local ids too) visit
+/// channels in the same relative order as PacketSim's global scan.
 struct ShardedSim::Shard {
   struct InFlight {
     Packet packet;
@@ -29,15 +29,12 @@ struct ShardedSim::Shard {
   std::vector<InFlight> flight;
   std::vector<PacketRing> queues;
   std::vector<std::uint32_t> queue_depth;
-  std::vector<std::uint32_t> rr_last_winner;  ///< global id of last winner
-  std::vector<std::uint8_t> in_flying;
-  std::vector<std::uint8_t> in_sendable;
   std::vector<std::uint8_t> dst_is_terminal;
   std::vector<std::uint8_t> is_terminal_source_queue;
   std::vector<std::uint32_t> channel_dst;
   std::vector<std::uint64_t> link_busy;  ///< flits transmitted per channel
-  std::vector<std::uint32_t> flying;    ///< global channel ids
-  std::vector<std::uint32_t> sendable;  ///< global channel ids
+  SweepList flying;
+  SweepList sendable;
 
   std::optional<fault::DegradedView> degraded;
   std::size_t next_fault = 0;
@@ -46,7 +43,8 @@ struct ShardedSim::Shard {
 
   // Phase scratch.
   std::vector<Proposal> local_props;  ///< proposals targeting this shard
-  std::vector<Proposal> merged;
+  std::vector<Proposal> merged;       ///< ascending by proposing channel
+  RoundRobinAdmission admission;      ///< per owned channel (local id)
 
   // Statistics, merged exactly after the run.
   std::uint64_t switch_depth_sum = 0;
@@ -187,9 +185,6 @@ void ShardedSim::init_shard_arena(std::uint32_t s) {
   sh.flight.resize(count);
   sh.queues.reserve(count);
   sh.queue_depth.assign(count, 0);
-  sh.rr_last_winner.assign(count, 0);
-  sh.in_flying.assign(count, 0);
-  sh.in_sendable.assign(count, 0);
   sh.dst_is_terminal.assign(count, 0);
   sh.is_terminal_source_queue.assign(count, 0);
   sh.channel_dst.assign(count, 0);
@@ -206,8 +201,9 @@ void ShardedSim::init_shard_arena(std::uint32_t s) {
                                : config_.queue_capacity);
     if (!sh.is_terminal_source_queue[li]) ++sh.switch_channel_count;
   }
-  sh.flying.reserve(count);
-  sh.sendable.reserve(count);
+  sh.flying.reset(count);
+  sh.sendable.reset(count);
+  sh.admission = RoundRobinAdmission(count);
   sh.delivered_per_source.assign(terminal_count_, 0);
   sh.flow_sequence.assign(sh.term_hi - sh.term_lo, 0);
   sh.depth_sum_by_cycle.assign(total, 0);
@@ -228,10 +224,7 @@ void ShardedSim::queue_push(Shard& sh, std::uint32_t channel,
     ++sh.queue_depth[li];
     ++sh.switch_depth_sum;
   }
-  if (!sh.in_sendable[li]) {
-    sh.in_sendable[li] = 1;
-    sh.sendable.push_back(channel);
-  }
+  sh.sendable.push(li);
 }
 
 Packet ShardedSim::queue_pop(Shard& sh, std::uint32_t channel) {
@@ -266,16 +259,15 @@ void ShardedSim::cycle_faults(Shard& sh, std::uint64_t now) {
     applied = true;
   }
   if (!applied) return;
-  for (const auto c : sh.flying) {
-    const auto li = plan_.channel_local[c];
-    if (sh.flight[li].valid && !sh.degraded->channel_alive(c)) {
+  const auto& owned = plan_.shard_channels[sh.index];
+  for (const auto li : sh.flying) {
+    if (sh.flight[li].valid && !sh.degraded->channel_alive(owned[li])) {
       ++sh.dropped;
       sh.flight[li].valid = false;
     }
   }
-  for (const auto c : sh.sendable) {
-    const auto li = plan_.channel_local[c];
-    if (sh.queues[li].size() > 0 && !sh.degraded->channel_alive(c)) {
+  for (const auto li : sh.sendable) {
+    if (sh.queues[li].size() > 0 && !sh.degraded->channel_alive(owned[li])) {
       sh.dropped += sh.queues[li].size();
       sh.queues[li].clear();
       sh.switch_depth_sum -= sh.queue_depth[li];  // 0 for a NIC queue
@@ -285,42 +277,31 @@ void ShardedSim::cycle_faults(Shard& sh, std::uint64_t now) {
 }
 
 void ShardedSim::phase_propose(Shard& sh, std::uint64_t now, bool measuring) {
-  std::sort(sh.flying.begin(), sh.flying.end());
-  std::size_t keep = 0;
-  const std::size_t flying_count = sh.flying.size();
-  for (std::size_t i = 0; i < flying_count; ++i) {
-    const auto c = sh.flying[i];
-    const auto li = plan_.channel_local[c];
+  // The ascending sweep writes every proposal box ascending by `from`.
+  const auto& owned = plan_.shard_channels[sh.index];
+  sh.flying.sweep([&](std::uint32_t li) {
     auto& fl = sh.flight[li];
-    if (!fl.valid) {  // purged by a fault since the last sweep
-      sh.in_flying[li] = 0;
-      continue;
-    }
-    if (fl.arrival_cycle > now) {
-      sh.flying[keep++] = c;
-      continue;
-    }
+    if (!fl.valid) return false;  // purged by a fault since the last sweep
+    if (fl.arrival_cycle > now) return true;
     if (sh.dst_is_terminal[li]) {
       NBCLOS_ASSERT(sh.channel_dst[li] == fl.packet.dst_terminal);
       deliver(sh, fl.packet, now, measuring);
       fl.valid = false;
-      sh.in_flying[li] = 0;
-      continue;
+      return false;
     }
     const std::uint32_t at = sh.channel_dst[li];
     const auto next = router_->next_channel(at, fl.packet);
     if (next == fault::kNoRoute || !channel_usable(sh, next)) {
       ++sh.dropped;
       fl.valid = false;
-      sh.in_flying[li] = 0;
-      continue;
+      return false;
     }
     NBCLOS_ASSERT(net_->channel_src(next) == at);
     // Propose admission to the owner of the chosen channel.  The
-    // candidate leaves the kept range but stays marked in_flying with a
-    // valid flight; the ack in phase C either clears it (winner) or
-    // re-appends it (loser — backpressure, exactly PacketSim).
-    const Proposal proposal{next, c, fl.packet};
+    // candidate leaves the list with a valid flight; the ack in phase C
+    // either clears the flight (winner) or re-appends the channel
+    // (loser — backpressure, exactly PacketSim).
+    const Proposal proposal{next, owned[li], fl.packet};
     const auto owner = plan_.channel_owner[next];
     if (owner == sh.index) {
       sh.local_props.push_back(proposal);
@@ -328,8 +309,8 @@ void ShardedSim::phase_propose(Shard& sh, std::uint64_t now, bool measuring) {
       proposal_box_.box(sh.index, owner).push_back(proposal);
       sh.cross_flits += fl.packet.size_flits;
     }
-  }
-  sh.flying.resize(keep);
+    return false;
+  });
 }
 
 void ShardedSim::send_ack(Shard& sh, std::uint32_t from, bool accepted) {
@@ -338,9 +319,8 @@ void ShardedSim::send_ack(Shard& sh, std::uint32_t from, bool accepted) {
     const auto li = plan_.channel_local[from];
     if (accepted) {
       sh.flight[li].valid = false;
-      sh.in_flying[li] = 0;
     } else {
-      sh.flying.push_back(from);
+      sh.flying.push(li);
     }
   } else {
     ack_box_.box(sh.index, owner).push_back(Ack{from, accepted});
@@ -348,51 +328,30 @@ void ShardedSim::send_ack(Shard& sh, std::uint32_t from, bool accepted) {
 }
 
 void ShardedSim::phase_admit(Shard& sh) {
-  // Merge this cycle's proposals (local + one mailbox per peer) and sort
-  // by (target, from): per target the candidates are then in ascending
-  // proposing-channel order — the same order PacketSim's global
-  // ascending scan produces — so the round-robin arbitration below is
-  // verbatim step_arrivals phase 2.
+  // Merge this cycle's proposals (local + one mailbox per peer, each run
+  // ascending by proposing channel) and offer them in that order, as
+  // PacketSim's ascending scan does; the round-robin admission is then
+  // verbatim PacketSim's.
   auto& merged = sh.merged;
-  merged.clear();
-  merged.insert(merged.end(), sh.local_props.begin(), sh.local_props.end());
-  sh.local_props.clear();
-  proposal_box_.drain_to(sh.index, [&](std::uint32_t,
-                                       const std::vector<Proposal>& box) {
-    sh.mailbox_peak = std::max<std::uint64_t>(sh.mailbox_peak, box.size());
-    merged.insert(merged.end(), box.begin(), box.end());
-  });
-  std::sort(merged.begin(), merged.end(),
-            [](const Proposal& a, const Proposal& b) {
-              return a.target < b.target ||
-                     (a.target == b.target && a.from < b.from);
-            });
-  std::size_t g = 0;
-  while (g < merged.size()) {
-    const std::uint32_t target = merged[g].target;
-    std::size_t end = g + 1;
-    while (end < merged.size() && merged[end].target == target) ++end;
-    const std::size_t n = end - g;
-    const auto li = plan_.channel_local[target];
-    std::size_t start = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (merged[g + i].from > sh.rr_last_winner[li]) {
-        start = i;
-        break;
-      }
-    }
-    std::size_t i = 0;
-    for (; i < n && sh.queue_depth[li] < config_.queue_capacity; ++i) {
-      const Proposal& winner = merged[g + (start + i) % n];
-      queue_push(sh, target, winner.packet);
-      sh.rr_last_winner[li] = winner.from;
-      send_ack(sh, winner.from, true);
-    }
-    for (; i < n; ++i) {
-      send_ack(sh, merged[g + (start + i) % n].from, false);
-    }
-    g = end;
+  proposal_box_.drain_merged_to(
+      sh.index, sh.local_props, merged, sh.mailbox_peak,
+      [](const Proposal& a, const Proposal& b) { return a.from < b.from; });
+  for (std::uint32_t k = 0; k < merged.size(); ++k) {
+    sh.admission.offer(plan_.channel_local[merged[k].target], merged[k].from,
+                       k);
   }
+  const auto& owned = plan_.shard_channels[sh.index];
+  sh.admission.settle(
+      [&](std::uint32_t li) {
+        return sh.queue_depth[li] < config_.queue_capacity;
+      },
+      [&](std::uint32_t li, std::uint32_t k) {
+        queue_push(sh, owned[li], merged[k].packet);
+        send_ack(sh, merged[k].from, true);
+      },
+      [&](std::uint32_t, std::uint32_t k) {
+        send_ack(sh, merged[k].from, false);
+      });
 }
 
 void ShardedSim::phase_resolve(Shard& sh, std::uint64_t now) {
@@ -405,24 +364,17 @@ void ShardedSim::phase_resolve(Shard& sh, std::uint64_t now) {
       const auto li = plan_.channel_local[ack.from];
       if (ack.accepted) {
         sh.flight[li].valid = false;
-        sh.in_flying[li] = 0;
       } else {
-        sh.flying.push_back(ack.from);
+        sh.flying.push(li);
       }
     }
   });
 
   // Transmissions (PacketSim::step_transmissions over owned channels).
-  std::sort(sh.sendable.begin(), sh.sendable.end());
-  std::size_t keep = 0;
-  const std::size_t sendable_count = sh.sendable.size();
-  for (std::size_t i = 0; i < sendable_count; ++i) {
-    const auto c = sh.sendable[i];
-    const auto li = plan_.channel_local[c];
-    if (sh.queues[li].size() == 0) {
-      sh.in_sendable[li] = 0;
-      continue;
-    }
+  const auto& owned = plan_.shard_channels[sh.index];
+  sh.sendable.sweep([&](std::uint32_t li) {
+    if (sh.queues[li].size() == 0) return false;
+    const std::uint32_t c = owned[li];
     auto& fl = sh.flight[li];
     if (!fl.valid && channel_usable(sh, c)) {
       fl.packet = queue_pop(sh, c);
@@ -430,18 +382,10 @@ void ShardedSim::phase_resolve(Shard& sh, std::uint64_t now) {
       fl.arrival_cycle = now + fl.packet.size_flits;
       sh.link_busy_flits += fl.packet.size_flits;
       sh.link_busy[li] += fl.packet.size_flits;
-      if (!sh.in_flying[li]) {
-        sh.in_flying[li] = 1;
-        sh.flying.push_back(c);
-      }
-      if (sh.queues[li].size() == 0) {
-        sh.in_sendable[li] = 0;
-        continue;
-      }
+      sh.flying.push(li);
     }
-    sh.sendable[keep++] = c;
-  }
-  sh.sendable.resize(keep);
+    return sh.queues[li].size() != 0;
+  });
 
   // Injection over the owned terminal range with the counter-based RNG:
   // every draw is a pure function of (seed, cycle, terminal), so the
@@ -663,12 +607,10 @@ std::size_t ShardedSim::arena_bytes() const noexcept {
     }
     bytes += sh.queues.capacity() * sizeof(PacketRing);
     bytes += sh.flight.capacity() * sizeof(Shard::InFlight);
-    bytes += (sh.queue_depth.capacity() + sh.rr_last_winner.capacity() +
-              sh.channel_dst.capacity() + sh.flying.capacity() +
-              sh.sendable.capacity()) *
-             sizeof(std::uint32_t);
-    bytes += sh.in_flying.capacity() + sh.in_sendable.capacity() +
-             sh.dst_is_terminal.capacity() +
+    bytes += (sh.queue_depth.capacity() + sh.channel_dst.capacity()) *
+                 sizeof(std::uint32_t) +
+             sh.admission.bytes() + sh.flying.bytes() + sh.sendable.bytes();
+    bytes += sh.dst_is_terminal.capacity() +
              sh.is_terminal_source_queue.capacity();
     bytes += (sh.link_busy.capacity() + sh.delivered_per_source.capacity() +
               sh.flow_sequence.capacity() +

@@ -1,8 +1,9 @@
 /// \file test_flow_sharded.cpp
 /// \brief ShardedFlowSim determinism: bit-identical FlowResults against
-///        serial FlowSim (counter injection) at 1/2/4/8 shards — for
-///        wormhole and virtual cut-through, credit and on/off
-///        backpressure, under mid-run fault schedules, and through a
+///        serial FlowSim (counter injection) at 1/2/4/8 shards (3/8
+///        on uneven cuts under saturation) — for wormhole and virtual
+///        cut-through, credit and on/off backpressure, under mid-run
+///        fault schedules, and through a
 ///        genuine cross-shard deadlock where the watchdog verdict must
 ///        come from epoch totals aggregated over ALL shards.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "nbclos/obs/flight_recorder.hpp"
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
+#include "nbclos/sim/shard_router.hpp"
 
 namespace nbclos {
 namespace {
@@ -138,6 +140,41 @@ TEST_F(FlowSharded, BitIdenticalMultiVcUniformTraffic) {
   config.vcs = 2;
   config.injection_rate = 0.8;
   check_all_shard_counts(config);
+}
+
+/// Saturated wormhole with three VCs on cuts that do not divide the
+/// fabric evenly: every executor merges several VCs' proposals per
+/// channel from several owners each cycle, and heads compete for VCs and
+/// credits, so a misordered merge changes who wins.
+TEST(FlowShardedUnevenCuts, BitIdenticalSaturatedThreeVcs) {
+  const Network net = build_kary_ntree(4, 3);
+  const auto routes = std::make_shared<const flow::RouteSource>(
+      net, std::make_shared<const sim::KaryDmodkRouter>(net, 4, 3));
+  const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
+  const auto traffic = sim::TrafficPattern::uniform(terminals);
+  FlowConfig config;  // wormhole + credits by default
+  config.injection_rate = 1.0;
+  config.packet_flits = 3;
+  config.buffer_flits = 4;
+  config.vcs = 3;
+  config.warmup_cycles = 200;
+  config.measure_cycles = 800;
+  config.watchdog_epoch = 256;
+  config.seed = 20260809;
+  config.counter_injection = true;
+  ASSERT_EQ(config.switching, Switching::kWormhole);
+  ASSERT_EQ(config.backpressure, Backpressure::kCredit);
+  FlowSim serial(routes, traffic, config);
+  const FlowResult golden = serial.run();
+  EXPECT_LT(golden.accepted_throughput, config.injection_rate);
+  EXPECT_GT(golden.credit_stall_cycles + golden.vc_stall_cycles, 0u);
+  EXPECT_FALSE(golden.deadlocked);
+  for (const std::uint32_t shards : {3u, 8u}) {
+    ShardedFlowSim sharded(routes, traffic, config, shards);
+    expect_identical(golden, sharded.run(), shards);
+    EXPECT_EQ(serial.link_busy_flits(), sharded.link_busy_flits())
+        << "link_busy diverged at " << shards << " shards";
+  }
 }
 
 TEST_F(FlowSharded, BitIdenticalWithPinning) {

@@ -266,6 +266,25 @@ TEST(ShardedSim, RingGrowthAndWraparoundStayBitIdentical) {
   }
 }
 
+TEST(ShardedSim, BitIdenticalSaturatedAtUnevenCuts) {
+  // Two-deep switch queues at full uniform load: most proposals lose
+  // arbitration, and targets collect candidates from several shards'
+  // mailboxes that must merge into ascending proposing-channel order.
+  const Network net = build_kary_ntree(4, 3);
+  const KaryDmodkRouter router(net, 4, 3);
+  const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
+  const auto traffic = TrafficPattern::uniform(terminals);
+  SimConfig config = sharded_config(1.0);
+  config.queue_capacity = 2;
+  const auto expect = reference_run(net, router, traffic, config);
+  ASSERT_TRUE(expect.saturated());
+  for (const std::uint32_t shards : {3U, 8U}) {
+    ShardedSim sim(net, router, traffic, config, shards);
+    expect_identical(sim.run(), expect,
+                     ("saturated shards=" + std::to_string(shards)).c_str());
+  }
+}
+
 TEST(ShardedSim, LoadSweepShardedMatchesSingleShardSweep) {
   const Network net = build_kary_ntree(3, 3);
   const KaryDmodkRouter router(net, 3, 3);

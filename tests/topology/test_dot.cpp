@@ -51,7 +51,12 @@ TEST(Dot, FtreeExportMentionsEveryVertex) {
   write_dot(os, net);
   const std::string out = os.str();
   for (std::uint32_t v = 0; v < net.vertex_count(); ++v) {
-    EXPECT_NE(out.find("v" + std::to_string(v) + " ["), std::string::npos)
+    // Appending (not "v" + ...) keeps GCC 12's -Wrestrict false positive
+    // on a literal-prefixed std::string concatenation out of the build.
+    std::string node = "v";
+    node += std::to_string(v);
+    node += " [";
+    EXPECT_NE(out.find(node), std::string::npos)
         << "vertex " << v << " missing";
   }
 }

@@ -385,6 +385,7 @@ int cmd_simulate(std::vector<std::string> args) {
                                           shards.value_or(1), cache);
     nbclos::sim::ShardedSim sim(net, *router, traffic, config,
                                 shards.value_or(1));
+    g_manifest_shards = sim.shard_count();
     const auto result = sim.run();
     stash_recorder(sim.recorder());
     std::cout << topo.name << ", " << router->name()
@@ -513,9 +514,12 @@ int cmd_flow_sim(std::vector<std::string> args) {
   nbclos::flow::FlowResult result;
   nbclos::flow::DeadlockForensics forensics;
   nbclos::flow::ArenaStats arena{};
+  std::uint32_t shards_ran = 0;  // clamped by ShardPlan; 0 = serial engine
   if (shards.has_value()) {
     config.counter_injection = true;  // the sharded engine's only mode
     nbclos::flow::ShardedFlowSim sim(routes, traffic, config, *shards);
+    shards_ran = sim.shard_count();
+    g_manifest_shards = shards_ran;
     result = sim.run();
     stash_recorder(sim.recorder());
     forensics = sim.forensics();
@@ -540,7 +544,7 @@ int cmd_flow_sim(std::vector<std::string> args) {
     jw.member("routing", routing_label);
     jw.member("traffic", "shift_permutation");
     jw.key("config").begin_object();
-    jw.member("shards", static_cast<std::uint64_t>(shards.value_or(0)));
+    jw.member("shards", static_cast<std::uint64_t>(shards_ran));
     jw.member("injection_rate", config.injection_rate);
     jw.member("packet_flits", config.packet_flits);
     jw.member("buffer_flits", config.buffer_flits);
@@ -612,7 +616,7 @@ int cmd_flow_sim(std::vector<std::string> args) {
     jw.end_object();
     jw.key("manifest");
     auto manifest = nbclos::obs::RunInfo::current();
-    manifest.shards = shards.value_or(0);
+    manifest.shards = shards_ran;
     manifest.write_json(jw);
     jw.end_object();
     std::cout << "\n";
@@ -622,7 +626,7 @@ int cmd_flow_sim(std::vector<std::string> args) {
   std::cout << topo.name << ", " << routing_label
             << ", shift permutation, offered " << load;
   if (shards.has_value()) {
-    std::cout << ", " << *shards
+    std::cout << ", " << shards_ran
               << " shard(s) [results are shard-count independent]";
   }
   std::cout << ":\n"
