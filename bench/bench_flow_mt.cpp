@@ -146,7 +146,6 @@ int main(int argc, char** argv) {
     config.warmup_cycles = c.warmup;
     config.measure_cycles = c.measure;
     config.seed = seed;
-    config.counter_injection = true;
     const double total_cycles = static_cast<double>(c.warmup + c.measure);
 
     const std::string p = c.name + ".";
@@ -271,7 +270,6 @@ int main(int argc, char** argv) {
       config.warmup_cycles = 20;
       config.measure_cycles = 80;
       config.seed = seed;
-      config.counter_injection = true;
       const double total_cycles =
           static_cast<double>(config.warmup_cycles + config.measure_cycles);
 
@@ -367,7 +365,6 @@ int main(int argc, char** argv) {
     config.warmup_cycles = 200;
     config.measure_cycles = args.quick ? 800 : 4000;
     config.seed = seed;
-    config.counter_injection = true;
     config.record_timeseries = true;
     config.record_cadence = 32;
 

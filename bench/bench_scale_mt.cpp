@@ -112,7 +112,6 @@ int main(int argc, char** argv) {
     config.measure_cycles = c.measure;
     config.queue_capacity = c.queue_capacity;
     config.seed = report.manifest().seed;
-    config.counter_injection = true;
     const std::uint64_t total_cycles = c.warmup + c.measure;
 
     const std::string p = c.name + ".";

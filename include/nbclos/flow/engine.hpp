@@ -30,10 +30,10 @@
 ///   * backpressure is credit-based (conservative counters, delayed
 ///     returns) or on/off (stop bit, 1-cycle signal delay) — see
 ///     credits.hpp for the occupancy-bound arguments;
-///   * terminal NIC send queues stay unbounded and injection mirrors
-///     PacketSim's RNG call sequence exactly, which is what makes the
-///     cross-engine golden equivalence test possible (see
-///     FlowConfig::ideal_reference).
+///   * terminal NIC send queues stay unbounded and injection draws
+///     PacketSim's counter-keyed stream (sim/injection_rng.hpp), which
+///     is what makes the cross-engine golden equivalence test possible
+///     (see FlowConfig::ideal_reference).
 ///
 /// Per cycle: credit returns -> wire arrivals -> transmissions ->
 /// injection -> on/off latch -> depth sample -> watchdog.  All iteration
@@ -61,7 +61,6 @@
 #include "nbclos/obs/metrics.hpp"
 #include "nbclos/sim/traffic.hpp"
 #include "nbclos/topology/network.hpp"
-#include "nbclos/util/prng.hpp"
 #include "nbclos/util/stats.hpp"
 #include "nbclos/util/sweep_order.hpp"
 #include "nbclos/util/thread_pool.hpp"
@@ -312,7 +311,6 @@ class FlowSim {
   std::unique_ptr<OnOffSignal> onoff_;     ///< on/off mode only
   std::uint32_t head_reservation_ = 1;
 
-  Xoshiro256 rng_;
   std::uint64_t now_ = 0;
   std::uint64_t next_packet_id_ = 0;
   double packet_rate_ = 0.0;  ///< injection_rate / packet_flits
@@ -325,22 +323,17 @@ class FlowSim {
   std::uint64_t dropped_ = 0;  ///< packets refused at a dead NIC uplink
   std::uint64_t delivered_measured_flits_ = 0;
   std::vector<std::uint64_t> delivered_per_source_;  ///< measured flits
-  RunningStats latency_;
-  /// Exact integer latency accumulators: under counter_injection the
-  /// reported mean is latency_sum_/latency_count_ (order-independent, so
-  /// it matches ShardedFlowSim's shard-merged mean bit-for-bit) instead
-  /// of the Welford stream above.
-  std::uint64_t latency_sum_ = 0;
+  std::uint64_t latency_sum_ = 0;  ///< exact: mean = sum / count
   std::uint64_t latency_count_ = 0;
   QuantileHistogram latency_hist_;
-  RunningStats queue_depth_samples_;
+  /// Switch-buffer flits summed over the measured cycles; the mean depth
+  /// is its exact ratio to switch_channel_count_ × measured cycles.
+  std::uint64_t depth_measured_sum_ = 0;
 
   // Flow-control telemetry.
   std::uint64_t credit_stall_cycles_ = 0;
   std::uint64_t vc_stall_cycles_ = 0;
-  RunningStats stall_stats_;         ///< per-episode durations
-  /// Integer stall accumulators, same role as latency_sum_/count_ above.
-  std::uint64_t stall_duration_sum_ = 0;
+  std::uint64_t stall_duration_sum_ = 0;  ///< exact, per episode
   std::uint64_t stall_episode_count_ = 0;
   QuantileHistogram stall_hist_;
   std::vector<std::uint32_t> peak_per_vc_;  ///< per VC index, switch buffers

@@ -44,21 +44,20 @@
 ///      credit returns into the ledger's delay line (the ONLY driver of
 ///      schedule_return — credits flow opposite to flits, which is why
 ///      they need their own mailbox class), inject with the counter
-///      RNG over owned terminals, latch on/off, record this cycle's
-///      depth sum, and at watchdog epochs aggregate stuck-flit counts
-///      across ALL shards before deciding (per-shard verdicts would
-///      miss deadlocks whose cycle spans the cut).
+///      RNG over owned terminals, latch on/off, add this cycle's depth
+///      sum to the shard's total, and at watchdog epochs aggregate
+///      stuck-flit counts across ALL shards before deciding (per-shard
+///      verdicts would miss deadlocks whose cycle spans the cut).
 ///
 /// Determinism contract: routing through the shared read-only
 /// `RouteSource` (a `ChannelRouteCache` table or a pure arithmetic
 /// router — both deterministic), counter-based injection, exact
 /// integer statistic merges, and per-executor ascending channel order
 /// (sorted prefix + merged tail; mailbox runs arrive ascending) make a
-/// run **bit-identical to serial FlowSim with
-/// `FlowConfig::counter_injection` at any shard count**, including under
-/// mid-run fault schedules, for wormhole and VCT switching and credit
-/// and on/off backpressure.  Per-executor order suffices because all
-/// cross-channel interaction within a cycle — claims, credit
+/// run **bit-identical to serial FlowSim at any shard count**, including
+/// under mid-run fault schedules, for wormhole and VCT switching and
+/// credit and on/off backpressure.  Per-executor order suffices because
+/// all cross-channel interaction within a cycle — claims, credit
 /// consumption — is confined to channels sharing a downstream vertex,
 /// i.e. one executor.  tests/flow/test_flow_sharded.cpp asserts every
 /// FlowResult field with EXPECT_EQ.

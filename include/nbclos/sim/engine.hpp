@@ -20,9 +20,12 @@
 /// system, not the fabric size.  Channels that hold traffic are tracked
 /// in two dense active lists (in-flight and sendable), each queue is a
 /// lazily grown PacketRing whose memory follows its occupancy (nothing is
-/// allocated until a packet arrives), the mean queue depth is a
+/// allocated until a packet arrives), the switch-queue depth is a
 /// maintained running sum, and latency quantiles come from a
-/// streaming histogram — no end-of-run sort.  Active lists are swept in
+/// streaming histogram — no end-of-run sort.  Injection draws are keyed
+/// by (seed, cycle, terminal) (injection_rng.hpp) and every reported
+/// mean is an exact integer ratio, so ShardedSim reproduces a run
+/// bit-for-bit at any shard count.  Active lists are swept in
 /// ascending channel id (sorted prefix + merged tail), so the visit order
 /// (and therefore every oracle/RNG consultation) is identical to a full
 /// ascending scan and results stay bit-reproducible.
@@ -53,13 +56,11 @@ struct SimConfig {
   std::uint64_t warmup_cycles = 2000;
   std::uint64_t measure_cycles = 8000;
   std::uint64_t seed = 42;
-  /// Draw injection randomness from the counter-based discipline
-  /// (injection_rng.hpp) instead of the engine's sequential Xoshiro
-  /// stream: every (cycle, terminal) draw becomes a pure function of the
-  /// seed, which is what lets ShardedSim reproduce PacketSim
-  /// bit-identically at any shard count.  Off by default — the legacy
-  /// stream is part of the recorded golden results.
-  bool counter_injection = false;
+  /// Injection randomness is counter-based (injection_rng.hpp) in every
+  /// engine; this field has one legal value, `true`, and validate()
+  /// rejects `false`.  It survives only because the benchmark sources
+  /// assign it: delete it with the next change to the benchmark.
+  bool counter_injection = true;
   /// Pin each shard worker of a sharded engine to one CPU (node-major
   /// order from sim::NumaTopology) so first-touch arena allocation lands
   /// every shard's pages on its worker's NUMA node.  No effect on the
@@ -297,7 +298,6 @@ class PacketSim {
   RoundRobinAdmission admission_;
   std::vector<std::uint32_t> terminal_vertices_;
 
-  Xoshiro256 rng_;
   std::uint64_t now_ = 0;
   std::uint64_t next_packet_id_ = 0;
   double packet_rate_ = 0.0;  ///< injection_rate / packet_size, hoisted
@@ -309,17 +309,14 @@ class PacketSim {
   std::uint64_t delivered_measured_flits_ = 0;
   std::vector<std::uint64_t> delivered_per_source_;  ///< measured flits
   std::uint64_t delivered_packets_ = 0;
-  RunningStats latency_;
-  /// Exact integer latency accumulators: under counter_injection the
-  /// reported mean is latency_sum_/latency_count_ (order-independent, so
-  /// it matches ShardedSim's shard-merged mean bit-for-bit) instead of
-  /// the Welford stream above.
-  std::uint64_t latency_sum_ = 0;
+  std::uint64_t latency_sum_ = 0;  ///< exact: mean = sum / count
   std::uint64_t latency_count_ = 0;
   QuantileHistogram latency_hist_;  ///< streaming p50/p99/p999
   std::uint64_t switch_depth_sum_ = 0;      ///< running sum over switch queues
   std::uint64_t switch_channel_count_ = 0;
-  RunningStats queue_depth_samples_;
+  /// switch_depth_sum_ summed over the measured cycles; the mean depth is
+  /// its exact ratio to switch_channel_count_ × measure_cycles.
+  std::uint64_t depth_measured_sum_ = 0;
 
   // --- observability (none of it feeds back into simulation state, so
   // --- results are bit-identical with obs compiled out or disabled) ----
@@ -367,25 +364,13 @@ class PacketSim {
 using OracleFactory = std::function<std::unique_ptr<RoutingOracle>(
     std::uint64_t run_seed, fault::DegradedView* degraded)>;
 
-/// Convenience: sweep injection rates and return one SimResult per rate.
-///
-/// Serial legacy form: one shared oracle, whose internal randomness
-/// advances across runs.  When `degraded` is given, its entry state is
-/// snapshotted and restored before every run (and on return), so each
-/// rate sees the same initial fault mask even when `fault_events` mutate
-/// it mid-run.
-[[nodiscard]] std::vector<SimResult> load_sweep(
-    const Network& net, RoutingOracle& oracle, const TrafficPattern& traffic,
-    const SimConfig& base, const std::vector<double>& rates,
-    fault::DegradedView* degraded = nullptr,
-    const std::vector<fault::FaultEvent>& fault_events = {});
-
-/// Parallel form: one private oracle and (when faulted) one private copy
-/// of `*degraded` per run, evaluated over `pool` (nullptr = serial).
-/// Per-run seeds and the merge order are fixed by the rate index, so the
-/// results are field-for-field identical at any thread count, including
-/// the serial path.  Each run keeps `base.seed` for the traffic/injection
-/// stream (matching the legacy form); only the oracle seed varies.
+/// Sweep injection rates and return one SimResult per rate: one private
+/// oracle and (when faulted) one private copy of `*degraded` per run,
+/// evaluated over `pool` (nullptr = serial).  Per-run seeds and the merge
+/// order are fixed by the rate index, so the results are field-for-field
+/// identical at any thread count, including the serial path.  Each run
+/// keeps `base.seed` for the injection stream; only the oracle seed
+/// varies.
 [[nodiscard]] std::vector<SimResult> load_sweep(
     const Network& net, const OracleFactory& factory,
     const TrafficPattern& traffic, const SimConfig& base,
@@ -394,20 +379,10 @@ using OracleFactory = std::function<std::unique_ptr<RoutingOracle>(
     const std::vector<fault::FaultEvent>& fault_events = {});
 
 /// Binary-search the saturation throughput: the highest offered load the
-/// network still accepts (accepted >= 95% of offered).  Returns the last
-/// sustainable load found within `iterations` bisection steps over
-/// [0, 1].  The oracle's internal randomness advances across probes, so
-/// pass a freshly-seeded oracle for reproducible results.  `degraded` +
-/// `fault_events` pass through to every probe as in load_sweep.
-[[nodiscard]] double find_saturation_load(
-    const Network& net, RoutingOracle& oracle, const TrafficPattern& traffic,
-    const SimConfig& base, std::uint32_t iterations = 6,
-    fault::DegradedView* degraded = nullptr,
-    const std::vector<fault::FaultEvent>& fault_events = {});
-
-/// Parallel form: the bracketing phase probes a coarse load grid
-/// concurrently over `pool` (nullptr = serial), then bisects the
-/// bracketing interval serially.  Deterministic at any thread count.
+/// network still accepts (accepted >= 95% of offered).  The bracketing
+/// phase probes a coarse load grid concurrently over `pool` (nullptr =
+/// serial), then bisects the bracketing interval serially for
+/// `iterations` steps.  Deterministic at any thread count.
 [[nodiscard]] double find_saturation_load(
     const Network& net, const OracleFactory& factory,
     const TrafficPattern& traffic, const SimConfig& base,

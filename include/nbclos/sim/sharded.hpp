@@ -29,7 +29,7 @@
 ///   C. resolve acks (losers stall on their channel, exactly
 ///      PacketSim's backpressure), start transmissions, inject new
 ///      packets with the counter-based RNG (injection_rng.hpp), and
-///      record this cycle's switch-queue depth sum.
+///      add this cycle's switch-queue depth sum to the shard's total.
 ///
 /// Mailbox safety needs no third barrier: a proposal box written in
 /// A(n) is drained by its reader in B(n), which happens-before the
@@ -39,11 +39,10 @@
 ///
 /// Determinism contract: because the cut is deterministic, active lists
 /// are swept in ascending order (sorted prefix + merged tail; mailbox runs
-/// arrive ascending), round-robin state transfers verbatim, and all
-/// merged statistics use exact integer arithmetic (replayed in cycle
-/// order where PacketSim streams doubles), a run is **bit-identical at
-/// any shard count** and bit-identical to `PacketSim` run with
-/// `SimConfig::counter_injection` and the same `ShardRouter` (via
+/// arrive ascending), round-robin state transfers verbatim, and every
+/// merged statistic is an exact integer sum divided once at the end, a
+/// run is **bit-identical at any shard count** and bit-identical to
+/// `PacketSim` run with the same `ShardRouter` (via
 /// `ShardRouterOracle`).  The golden tests in tests/sim/test_sharded.cpp
 /// assert every `SimResult` field with EXPECT_EQ.
 #pragma once
@@ -79,7 +78,8 @@ class ShardedSim {
   /// router must be pure (see shard_router.hpp) and `degraded` is taken
   /// by const reference: every shard keeps a private copy and applies
   /// the same `fault_events` schedule at the same cycles, so the copies
-  /// never diverge.  Injection always uses the counter-based RNG.
+  /// never diverge.  Injection uses the counter-based RNG, as in every
+  /// engine.
   ShardedSim(const Network& net, const ShardRouter& router,
              const TrafficPattern& traffic, SimConfig config,
              std::uint32_t shards,

@@ -38,6 +38,15 @@ class RunningStats {
   double max_ = 0.0;
 };
 
+/// Mean of integer samples from their exact integer sum and count: one
+/// rounding at the end, so any split of the sum across shards or phases
+/// gives the same bits.  0 when `count` is 0.
+[[nodiscard]] inline double exact_mean(std::uint64_t sum,
+                                       std::uint64_t count) noexcept {
+  return count > 0 ? static_cast<double>(sum) / static_cast<double>(count)
+                   : 0.0;
+}
+
 /// Fixed-width histogram over [lo, hi); samples outside the range land in
 /// saturating edge bins.  Used for latency distributions in the simulator.
 class Histogram {

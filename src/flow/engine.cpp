@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "nbclos/obs/trace.hpp"
@@ -30,6 +29,21 @@ constexpr std::uint64_t kStallHistCap = 1u << 20;
 
 }  // namespace
 
+void FlowConfig::validate() const {
+  NBCLOS_REQUIRE(injection_rate >= 0.0 && injection_rate <= 1.0,
+                 "injection rate must be in [0, 1] flits/cycle");
+  NBCLOS_REQUIRE(packet_flits >= 1, "packets need at least one flit");
+  NBCLOS_REQUIRE(vcs >= 1, "need at least one virtual channel");
+  if (switching == Switching::kVirtualCutThrough) {
+    NBCLOS_REQUIRE(buffer_flits >= packet_flits,
+                   "virtual cut-through buffers a whole packet per FIFO: "
+                   "buffer_flits must be >= packet_flits");
+  }
+  NBCLOS_REQUIRE(counter_injection,
+                 "counter_injection must be true: injection is always "
+                 "counter-based");
+}
+
 FlowSim::FlowSim(std::shared_ptr<const RouteSource> routes,
                  const sim::TrafficPattern& traffic, FlowConfig config,
                  const fault::DegradedView* degraded,
@@ -49,13 +63,9 @@ FlowSim::FlowSim(std::shared_ptr<const RouteSource> routes,
             net_->channel_count() -
                 count_switch_source_channels(routes_->network()),
             config.buffer_flits),
-      rng_(config.seed),
       latency_hist_(config.warmup_cycles + config.measure_cycles),
       stall_hist_(config.warmup_cycles + config.measure_cycles) {
-  NBCLOS_REQUIRE(config.injection_rate >= 0.0 && config.injection_rate <= 1.0,
-                 "injection rate must be in [0, 1] flits/cycle");
-  NBCLOS_REQUIRE(config.packet_flits >= 1, "packets need at least one flit");
-  NBCLOS_REQUIRE(config.vcs >= 1, "need at least one virtual channel");
+  config.validate();
   NBCLOS_REQUIRE(degraded == nullptr || &degraded->network() == net_,
                  "degraded view was built over a different network");
   NBCLOS_REQUIRE(fault_events_.empty() || degraded != nullptr,
@@ -66,11 +76,6 @@ FlowSim::FlowSim(std::shared_ptr<const RouteSource> routes,
                      return a.cycle < b.cycle;
                    });
   head_reservation_ = config.head_reservation_flits();
-  if (config.switching == Switching::kVirtualCutThrough) {
-    NBCLOS_REQUIRE(config.buffer_flits >= config.packet_flits,
-                   "virtual cut-through buffers a whole packet per FIFO: "
-                   "buffer_flits must be >= packet_flits");
-  }
   packet_rate_ =
       config.injection_rate / static_cast<double>(config.packet_flits);
   terminal_vertices_ = net_->terminals();
@@ -185,7 +190,6 @@ void FlowSim::note_unblocked(std::uint32_t b) {
   const std::uint64_t duration = now_ - since;
   pool_.clear_blocked_since(b);
   --blocked_heads_;
-  stall_stats_.add(static_cast<double>(duration));
   stall_duration_sum_ += duration;
   ++stall_episode_count_;
   stall_hist_.add(duration);
@@ -312,7 +316,6 @@ void FlowSim::eject(FlitRef flit) {
     ++delivered_per_source_[packet.src_terminal];
     if (tail && packet.injected_cycle >= config_.warmup_cycles) {
       const std::uint64_t latency = now_ - packet.injected_cycle;
-      latency_.add(static_cast<double>(latency));
       latency_sum_ += latency;
       ++latency_count_;
       latency_hist_.add(latency);
@@ -323,9 +326,8 @@ void FlowSim::eject(FlitRef flit) {
 
 void FlowSim::step_arrivals() {
   // The ascending transmit sweep pushed at most one wire per channel, in
-  // channel order, so the latency accumulators see deliveries in
-  // ascending channel order — the same order PacketSim's flying_ sweep
-  // produces (bit-reproducibility of Welford sums).
+  // channel order, so deliveries happen in ascending channel order — the
+  // same order PacketSim's flying_ sweep produces.
   NBCLOS_DEBUG_CHECK(std::is_sorted(busy_wires_.begin(), busy_wires_.end(),
                                     [](const BusyWire& a, const BusyWire& b) {
                                       return a.channel < b.channel;
@@ -397,25 +399,15 @@ void FlowSim::inject_packet(std::uint32_t t, std::uint32_t dst) {
 }
 
 void FlowSim::step_injection() {
-  // Counter mode keys every draw purely by (seed, cycle, terminal) — the
-  // discipline ShardedFlowSim replays over its owned terminal ranges.
-  // Legacy mode mirrors PacketSim::step_injection draw for draw (one
-  // bernoulli, then one destination draw, terminals ascending) — the
-  // shared RNG sequence is what makes the cross-engine golden
-  // equivalence exact.
+  // Every draw is keyed purely by (seed, cycle, terminal) — PacketSim's
+  // stream, which ShardedFlowSim replays over its owned terminal ranges.
   const auto terminal_count =
       static_cast<std::uint32_t>(terminal_vertices_.size());
   for (std::uint32_t t = 0; t < terminal_count; ++t) {
-    std::optional<std::uint32_t> dst;
-    if (config_.counter_injection) {
-      SplitMix64 sm(sim::injection_counter_state(config_.seed, now_, t));
-      if (!sim::injection_bernoulli(sm, packet_rate_)) continue;
-      Xoshiro256 dest_rng(sm.next());
-      dst = traffic_->destination(t, dest_rng);
-    } else {
-      if (!rng_.bernoulli(packet_rate_)) continue;
-      dst = traffic_->destination(t, rng_);
-    }
+    SplitMix64 sm(sim::injection_counter_state(config_.seed, now_, t));
+    if (!sim::injection_bernoulli(sm, packet_rate_)) continue;
+    Xoshiro256 dest_rng(sm.next());
+    const auto dst = traffic_->destination(t, dest_rng);
     if (dst.has_value()) inject_packet(t, *dst);
   }
 }
@@ -586,13 +578,8 @@ FlowResult FlowSim::run() {
     step_transmissions();
     step_injection();
     if (onoff_ != nullptr) onoff_->latch();
-    if (measuring_ && switch_channel_count_ > 0) {
-      // Same arithmetic as PacketSim's sample: total flits across switch
-      // buffers over the number of switch output channels.
-      queue_depth_samples_.add(
-          static_cast<double>(pool_.switch_flits_total()) /
-          static_cast<double>(switch_channel_count_));
-    }
+    // PacketSim's depth sum: total flits across switch buffers.
+    if (measuring_) depth_measured_sum_ += pool_.switch_flits_total();
     if (recorder_.want(now_)) sample_recorder();
     if (watchdog_tripped()) break;
   }
@@ -606,14 +593,8 @@ FlowResult FlowSim::run() {
       static_cast<double>(delivered_measured_flits_) /
       (static_cast<double>(config_.measure_cycles) *
        static_cast<double>(terminal_vertices_.size()));
-  // Counter mode reports the exact integer mean (order-independent, so
-  // it merges across shards); the legacy mode keeps its Welford stream.
-  result.mean_latency =
-      config_.counter_injection
-          ? (latency_count_ > 0 ? static_cast<double>(latency_sum_) /
-                                      static_cast<double>(latency_count_)
-                                : 0.0)
-          : latency_.mean();
+  // Exact integer means (order-independent, so they merge across shards).
+  result.mean_latency = exact_mean(latency_sum_, latency_count_);
   result.latency_bucket_width =
       static_cast<double>(latency_hist_.bucket_width());
   if (latency_hist_.count() > 0) {
@@ -621,7 +602,12 @@ FlowResult FlowSim::run() {
     result.p99_latency = latency_hist_.quantile(0.99);
     result.p999_latency = latency_hist_.quantile(0.999);
   }
-  result.mean_switch_queue_depth = queue_depth_samples_.mean();
+  // A watchdog trip breaks out of the loop after sampling cycle now_.
+  const std::uint64_t cycles_run = deadlocked_ ? now_ + 1 : now_;
+  const std::uint64_t measured_cycles =
+      cycles_run - std::min(cycles_run, config_.warmup_cycles);
+  result.mean_switch_queue_depth = exact_mean(
+      depth_measured_sum_, switch_channel_count_ * measured_cycles);
   bool first_flow = true;
   for (std::uint32_t t = 0; t < terminal_vertices_.size(); ++t) {
     if (flow_sequence_[t] == 0) continue;
@@ -639,12 +625,7 @@ FlowResult FlowSim::run() {
   result.credit_stall_cycles = credit_stall_cycles_;
   result.vc_stall_cycles = vc_stall_cycles_;
   result.mean_stall_cycles =
-      config_.counter_injection
-          ? (stall_episode_count_ > 0
-                 ? static_cast<double>(stall_duration_sum_) /
-                       static_cast<double>(stall_episode_count_)
-                 : 0.0)
-          : stall_stats_.mean();
+      exact_mean(stall_duration_sum_, stall_episode_count_);
   result.p99_stall_cycles =
       stall_hist_.count() > 0 ? stall_hist_.quantile(0.99) : 0.0;
   result.peak_buffer_flits = pool_.peak_switch_flits();

@@ -94,7 +94,7 @@ struct ShardedFlowSim::Shard {
   std::uint64_t stall_episode_count = 0;
   std::uint64_t blocked_heads = 0;  ///< owned FIFOs inside a stall episode
   std::vector<std::uint32_t> peak_per_vc;         ///< per VC index
-  std::vector<std::uint64_t> depth_sum_by_cycle;  ///< end-of-cycle total
+  std::uint64_t depth_measured_sum = 0;  ///< end-of-cycle, measured cycles
   std::vector<std::uint32_t> acq_by_cycle;  ///< packets entering network
   std::vector<std::uint32_t> rel_by_cycle;  ///< tail ejections
   std::int64_t flits_in_system = 0;  ///< negative when ejecting for others
@@ -129,17 +129,10 @@ ShardedFlowSim::ShardedFlowSim(
       config_(config),
       fault_events_(std::move(fault_events)),
       degraded_(degraded) {
-  NBCLOS_REQUIRE(config.injection_rate >= 0.0 && config.injection_rate <= 1.0,
-                 "injection rate must be in [0, 1] flits/cycle");
-  NBCLOS_REQUIRE(config.packet_flits >= 1, "packets need at least one flit");
-  NBCLOS_REQUIRE(config.vcs >= 1 && config.vcs <= 32,
+  config.validate();
+  NBCLOS_REQUIRE(config.vcs <= 32,
                  "sharded engine supports 1..32 virtual channels (stall "
                  "masks are 32 bits wide)");
-  if (config.switching == Switching::kVirtualCutThrough) {
-    NBCLOS_REQUIRE(config.buffer_flits >= config.packet_flits,
-                   "virtual cut-through buffers a whole packet per FIFO: "
-                   "buffer_flits must be >= packet_flits");
-  }
   if (config.backpressure == Backpressure::kOnOff) {
     NBCLOS_REQUIRE(
         config.buffer_flits >= config.head_reservation_flits() + 1,
@@ -166,7 +159,6 @@ ShardedFlowSim::ShardedFlowSim(
                    "terminals must be vertices [0, T) (library builders "
                    "guarantee this)");
   }
-  config_.counter_injection = true;  // the sharded engine's only mode
 
   plan_ = sim::ShardPlan::build(*net_, shards);
   const std::uint32_t shard_count = plan_.shard_count;
@@ -335,7 +327,6 @@ void ShardedFlowSim::init_shard_arena(std::uint32_t s) {
   sh.peak_per_vc.assign(config_.vcs, 0);
   sh.delivered_per_source.assign(terminal_count_, 0);
   sh.flow_sequence.assign(sh.term_hi - sh.term_lo, 0);
-  sh.depth_sum_by_cycle.assign(total, 0);
   sh.acq_by_cycle.assign(total, 0);
   sh.rel_by_cycle.assign(total, 0);
   sh.link_busy.assign(sh.executed_channels, 0);
@@ -726,7 +717,9 @@ void ShardedFlowSim::phase_owner_post(Shard& sh, std::uint64_t now) {
   }
 
   if (sh.onoff != nullptr) sh.onoff->latch();
-  sh.depth_sum_by_cycle[now] = sh.pool->switch_flits_total();
+  if (now >= config_.warmup_cycles) {
+    sh.depth_measured_sum += sh.pool->switch_flits_total();
+  }
   // End-of-cycle sample, the same point serial FlowSim samples at — all
   // shards see want(now) identically (same recorder geometry).
   if constexpr (obs::kEnabled) {
@@ -907,14 +900,8 @@ FlowResult ShardedFlowSim::merge_results() {
       static_cast<double>(delivered_measured) /
       (static_cast<double>(config_.measure_cycles) *
        static_cast<double>(terminal_count_));
-  result.mean_latency = latency_count > 0
-                            ? static_cast<double>(latency_sum) /
-                                  static_cast<double>(latency_count)
-                            : 0.0;
-  result.mean_stall_cycles = stall_episodes > 0
-                                 ? static_cast<double>(stall_sum) /
-                                       static_cast<double>(stall_episodes)
-                                 : 0.0;
+  result.mean_latency = exact_mean(latency_sum, latency_count);
+  result.mean_stall_cycles = exact_mean(stall_sum, stall_episodes);
 
   // Histogram merges (identical geometry across shards by construction).
   QuantileHistogram latency_hist = shards_[0]->latency_hist;
@@ -935,21 +922,13 @@ FlowResult ShardedFlowSim::merge_results() {
 
   const std::uint64_t cycles_run = shards_[0]->cycles_run;
 
-  // Mean switch queue depth: replay serial's per-cycle Welford stream —
-  // each cycle's sample is the summed end-of-cycle occupancy over the
-  // global switch channel count, added in cycle order.
-  if (switch_channel_count_ > 0) {
-    RunningStats depth;
-    for (std::uint64_t cyc = config_.warmup_cycles; cyc < cycles_run; ++cyc) {
-      std::uint64_t total_flits = 0;
-      for (const auto& shp : shards_) {
-        total_flits += shp->depth_sum_by_cycle[cyc];
-      }
-      depth.add(static_cast<double>(total_flits) /
-                static_cast<double>(switch_channel_count_));
-    }
-    result.mean_switch_queue_depth = depth.mean();
-  }
+  // Mean switch queue depth: serial's exact ratio over the cycles run.
+  std::uint64_t depth_measured_sum = 0;
+  for (const auto& shp : shards_) depth_measured_sum += shp->depth_measured_sum;
+  const std::uint64_t measured_cycles =
+      cycles_run - std::min(cycles_run, config_.warmup_cycles);
+  result.mean_switch_queue_depth = exact_mean(
+      depth_measured_sum, switch_channel_count_ * measured_cycles);
 
   // Peak single-FIFO occupancy: each local pool tracks the high-water
   // mark over its own switch buffers, so the global peak is the max.
@@ -1080,7 +1059,6 @@ std::size_t ShardedFlowSim::arena_bytes() const noexcept {
     if (sh.pool != nullptr) bytes += sh.pool->bytes();
     bytes += sh.packets.bytes();
     bytes += sh.channel_flits.capacity() * sizeof(std::uint32_t);
-    bytes += sh.depth_sum_by_cycle.capacity() * sizeof(std::uint64_t);
     bytes += (sh.acq_by_cycle.capacity() + sh.rel_by_cycle.capacity()) *
              sizeof(std::uint32_t);
     bytes += sh.link_busy.capacity() * sizeof(std::uint64_t);

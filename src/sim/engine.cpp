@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "nbclos/obs/metrics.hpp"
 #include "nbclos/sim/injection_rng.hpp"
@@ -29,6 +28,9 @@ void SimConfig::validate() const {
   NBCLOS_REQUIRE(queue_capacity >= 1, "queue_capacity must be at least 1");
   NBCLOS_REQUIRE(queue_capacity <= (std::uint32_t{1} << 31),
                  "queue_capacity must be at most 2^31 packets");
+  NBCLOS_REQUIRE(counter_injection,
+                 "counter_injection must be true: injection is always "
+                 "counter-based");
 }
 
 PacketSim::PacketSim(const Network& net, RoutingOracle& oracle,
@@ -42,7 +44,6 @@ PacketSim::PacketSim(const Network& net, RoutingOracle& oracle,
       channel_dst_(net.channel_count(), 0),
       dst_is_terminal_(net.channel_count(), 0),
       is_terminal_source_queue_(net.channel_count(), 0),
-      rng_(config.seed),
       packet_rate_(config.injection_rate /
                    static_cast<double>(config.packet_size)),
       view_(net, queue_depth_),
@@ -157,7 +158,6 @@ void PacketSim::deliver(const Packet& packet) {
   // entered and left within measured, warmed-up conditions.
   if (packet.injected_cycle >= config_.warmup_cycles) {
     const std::uint64_t latency = now_ - packet.injected_cycle;
-    latency_.add(static_cast<double>(latency));
     latency_sum_ += latency;
     ++latency_count_;
     latency_hist_.add(latency);
@@ -262,23 +262,14 @@ void PacketSim::step_transmissions() {
 }
 
 void PacketSim::step_injection() {
-  // Legacy mode draws from the sequential rng_ (one bernoulli, then one
-  // destination draw, terminals ascending).  Counter mode
-  // (SimConfig::counter_injection) never touches rng_: each terminal's
-  // draws come from a generator keyed purely by (seed, cycle, terminal) —
-  // the identical stream ShardedSim's workers produce, whichever shard
-  // owns `t`.
+  // Each terminal's draws come from a generator keyed purely by
+  // (seed, cycle, terminal) — the identical stream ShardedSim's workers
+  // produce, whichever shard owns `t`.
   for (std::uint32_t t = 0; t < terminal_vertices_.size(); ++t) {
-    std::optional<std::uint32_t> dst;
-    if (config_.counter_injection) {
-      SplitMix64 sm(injection_counter_state(config_.seed, now_, t));
-      if (!injection_bernoulli(sm, packet_rate_)) continue;
-      Xoshiro256 dest_rng(sm.next());
-      dst = traffic_->destination(t, dest_rng);
-    } else {
-      if (!rng_.bernoulli(packet_rate_)) continue;
-      dst = traffic_->destination(t, rng_);
-    }
+    SplitMix64 sm(injection_counter_state(config_.seed, now_, t));
+    if (!injection_bernoulli(sm, packet_rate_)) continue;
+    Xoshiro256 dest_rng(sm.next());
+    const auto dst = traffic_->destination(t, dest_rng);
     if (!dst.has_value()) continue;
     Packet packet;
     packet.id = next_packet_id_++;
@@ -348,12 +339,9 @@ SimResult PacketSim::run() {
       if ((now_ & 63u) == 0 && obs::enabled()) flush_busy_flits();
       if (recorder_.want(now_)) sample_recorder();
     }
-    if (measuring_ && switch_channel_count_ > 0) {
-      // Sample switch queue depths (terminal source queues excluded);
-      // the sum is maintained incrementally by queue_push/pop/clear.
-      queue_depth_samples_.add(static_cast<double>(switch_depth_sum_) /
-                               static_cast<double>(switch_channel_count_));
-    }
+    // Switch queue depths (terminal source queues excluded); the sum is
+    // maintained incrementally by queue_push/pop/clear.
+    if (measuring_) depth_measured_sum_ += switch_depth_sum_;
   }
 
   SimResult result;
@@ -365,16 +353,9 @@ SimResult PacketSim::run() {
       static_cast<double>(delivered_measured_flits_) /
       (static_cast<double>(config_.measure_cycles) *
        static_cast<double>(terminal_vertices_.size()));
-  // Under counter injection the mean comes from the exact integer sums —
-  // the order-independent arithmetic ShardedSim merges with, so the two
-  // engines agree bit-for-bit.  The legacy Welford mean is part of the
-  // recorded golden results and stays the default.
-  result.mean_latency =
-      config_.counter_injection
-          ? (latency_count_ > 0 ? static_cast<double>(latency_sum_) /
-                                      static_cast<double>(latency_count_)
-                                : 0.0)
-          : latency_.mean();
+  // Exact integer means: order-independent, so ShardedSim's shard-merged
+  // sums give the same bits.
+  result.mean_latency = exact_mean(latency_sum_, latency_count_);
   result.latency_bucket_width =
       static_cast<double>(latency_hist_.bucket_width());
   if (latency_hist_.count() > 0) {
@@ -382,7 +363,8 @@ SimResult PacketSim::run() {
     result.p99_latency = latency_hist_.quantile(0.99);
     result.p999_latency = latency_hist_.quantile(0.999);
   }
-  result.mean_switch_queue_depth = queue_depth_samples_.mean();
+  result.mean_switch_queue_depth = exact_mean(
+      depth_measured_sum_, switch_channel_count_ * config_.measure_cycles);
   // Fairness extremes over sources that injected anything.
   bool first_flow = true;
   for (std::uint32_t t = 0; t < terminal_vertices_.size(); ++t) {
@@ -527,28 +509,6 @@ SimResult run_single(const Network& net, const OracleFactory& factory,
 }  // namespace
 
 std::vector<SimResult> load_sweep(
-    const Network& net, RoutingOracle& oracle, const TrafficPattern& traffic,
-    const SimConfig& base, const std::vector<double>& rates,
-    fault::DegradedView* degraded,
-    const std::vector<fault::FaultEvent>& fault_events) {
-  NBCLOS_REQUIRE(fault_events.empty() || degraded != nullptr,
-                 "fault events need a degraded view to apply to");
-  std::vector<SimResult> results;
-  results.reserve(rates.size());
-  const fault::DegradedView snapshot =
-      degraded != nullptr ? *degraded : fault::DegradedView(net);
-  for (const double rate : rates) {
-    SimConfig config = base;
-    config.injection_rate = rate;
-    if (degraded != nullptr) *degraded = snapshot;
-    PacketSim sim(net, oracle, traffic, config, degraded, fault_events);
-    results.push_back(sim.run());
-  }
-  if (degraded != nullptr) *degraded = snapshot;
-  return results;
-}
-
-std::vector<SimResult> load_sweep(
     const Network& net, const OracleFactory& factory,
     const TrafficPattern& traffic, const SimConfig& base,
     const std::vector<double>& rates, ThreadPool* pool,
@@ -574,44 +534,6 @@ std::vector<SimResult> load_sweep(
   return results;
 }
 
-double find_saturation_load(const Network& net, RoutingOracle& oracle,
-                            const TrafficPattern& traffic,
-                            const SimConfig& base, std::uint32_t iterations,
-                            fault::DegradedView* degraded,
-                            const std::vector<fault::FaultEvent>& fault_events) {
-  NBCLOS_REQUIRE(fault_events.empty() || degraded != nullptr,
-                 "fault events need a degraded view to apply to");
-  const fault::DegradedView snapshot =
-      degraded != nullptr ? *degraded : fault::DegradedView(net);
-  const auto probe = [&](double load) {
-    SimConfig config = base;
-    config.injection_rate = load;
-    if (degraded != nullptr) *degraded = snapshot;
-    PacketSim sim(net, oracle, traffic, config, degraded, fault_events);
-    return sim.run().saturated();
-  };
-  double lo = 0.0;
-  double hi = 1.0;
-  // Check full load first: nonblocking fabrics sustain it and we can
-  // return without bisection error.
-  bool done = !probe(1.0);
-  if (!done) {
-    for (std::uint32_t i = 0; i < iterations; ++i) {
-      const double mid = (lo + hi) / 2.0;
-      if (probe(mid)) {
-        hi = mid;
-      } else {
-        lo = mid;
-      }
-      obs::trace_instant("sweep.bisect", "sweep", "lo", lo, "hi", hi, "mid",
-                         mid);
-      obs::metrics().counter("sweep.bisect_steps").add(1);
-    }
-  }
-  if (degraded != nullptr) *degraded = snapshot;
-  return done ? 1.0 : lo;
-}
-
 double find_saturation_load(const Network& net, const OracleFactory& factory,
                             const TrafficPattern& traffic,
                             const SimConfig& base, std::uint32_t iterations,
@@ -623,7 +545,7 @@ double find_saturation_load(const Network& net, const OracleFactory& factory,
   obs::ScopedSpan sat_span("sim.find_saturation", "sweep");
   // Bracketing phase: probe a coarse, fixed load grid concurrently.  The
   // grid includes 1.0, so a fabric that sustains full load is recognized
-  // without any bisection (matching the serial fast path).
+  // without any bisection.
   constexpr std::uint32_t kGridProbes = 8;
   std::vector<std::uint8_t> saturated(kGridProbes, 0);
   const auto grid_load = [](std::uint32_t i) {

@@ -49,6 +49,7 @@ struct ShardedSim::Shard {
   // Statistics, merged exactly after the run.
   std::uint64_t switch_depth_sum = 0;
   std::uint64_t switch_channel_count = 0;
+  std::uint64_t depth_measured_sum = 0;  ///< switch_depth_sum, measured cycles
   std::uint64_t injected = 0;
   std::uint64_t delivered_packets = 0;
   std::uint64_t dropped = 0;
@@ -58,7 +59,6 @@ struct ShardedSim::Shard {
   QuantileHistogram latency_hist;
   std::vector<std::uint64_t> delivered_per_source;  ///< all T terminals
   std::vector<std::uint64_t> flow_sequence;         ///< owned range only
-  std::vector<std::uint64_t> depth_sum_by_cycle;    ///< per cycle, replayed
   std::uint64_t next_packet_id = 0;
   std::uint64_t link_busy_flits = 0;
   std::uint64_t cross_flits = 0;
@@ -97,7 +97,6 @@ ShardedSim::ShardedSim(const Network& net, const ShardRouter& router,
                    "terminals must be vertices [0, T) (library builders "
                    "guarantee this)");
   }
-  config_.counter_injection = true;  // the sharded engine's only mode
   degraded_ = degraded;
 
   plan_ = ShardPlan::build(net, shards);
@@ -179,7 +178,6 @@ void ShardedSim::sample_recorder(Shard& sh, std::uint64_t now) {
 
 void ShardedSim::init_shard_arena(std::uint32_t s) {
   Shard& sh = *shards_[s];
-  const std::uint64_t total = config_.warmup_cycles + config_.measure_cycles;
   const auto& owned = plan_.shard_channels[s];
   const auto count = static_cast<std::uint32_t>(owned.size());
   sh.flight.resize(count);
@@ -206,7 +204,6 @@ void ShardedSim::init_shard_arena(std::uint32_t s) {
   sh.admission = RoundRobinAdmission(count);
   sh.delivered_per_source.assign(terminal_count_, 0);
   sh.flow_sequence.assign(sh.term_hi - sh.term_lo, 0);
-  sh.depth_sum_by_cycle.assign(total, 0);
   if (degraded_ != nullptr) sh.degraded.emplace(*degraded_);
 }
 
@@ -462,7 +459,7 @@ void ShardedSim::run_shard(std::uint32_t s) {
         sync_->barrier.arrive_and_wait();
       }
       phase_resolve(sh, now);
-      sh.depth_sum_by_cycle[now] = sh.switch_depth_sum;
+      if (measuring) sh.depth_measured_sum += sh.switch_depth_sum;
       if constexpr (obs::kEnabled) {
         if (recorder_.want(now)) sample_recorder(sh, now);
       }
@@ -514,6 +511,7 @@ SimResult ShardedSim::merge_results() {
   std::uint64_t latency_sum = 0;
   std::uint64_t latency_count = 0;
   std::uint64_t switch_channels = 0;
+  std::uint64_t depth_measured_sum = 0;
   QuantileHistogram hist(total);
   telemetry_ = Telemetry{};
   for (const auto& shard : shards_) {
@@ -525,6 +523,7 @@ SimResult ShardedSim::merge_results() {
     latency_sum += sh.latency_sum;
     latency_count += sh.latency_count;
     switch_channels += sh.switch_channel_count;
+    depth_measured_sum += sh.depth_measured_sum;
     hist.merge(sh.latency_hist);
     telemetry_.cross_shard_flits += sh.cross_flits;
     telemetry_.mailbox_peak =
@@ -544,12 +543,9 @@ SimResult ShardedSim::merge_results() {
       static_cast<double>(delivered_measured_flits) /
       (static_cast<double>(config_.measure_cycles) *
        static_cast<double>(terminal_count_));
-  // Exact integer mean — the same arithmetic PacketSim uses in
-  // counter-injection mode, and independent of delivery order.
-  result.mean_latency =
-      latency_count > 0
-          ? static_cast<double>(latency_sum) / static_cast<double>(latency_count)
-          : 0.0;
+  // Exact integer means — PacketSim's arithmetic, independent of
+  // delivery order and of the cut.
+  result.mean_latency = exact_mean(latency_sum, latency_count);
   result.latency_bucket_width = static_cast<double>(hist.bucket_width());
   if (hist.count() > 0) {
     result.p50_latency = hist.quantile(0.50);
@@ -557,21 +553,8 @@ SimResult ShardedSim::merge_results() {
     result.p999_latency = hist.quantile(0.999);
   }
 
-  // Mean switch-queue depth: replay the per-cycle global depth sums in
-  // cycle order through the same Welford accumulator PacketSim streams,
-  // so the result is bit-identical at any shard count.
-  RunningStats depth_samples;
-  if (switch_channels > 0) {
-    for (std::uint64_t cycle = config_.warmup_cycles; cycle < total; ++cycle) {
-      std::uint64_t sum = 0;
-      for (const auto& shard : shards_) {
-        sum += shard->depth_sum_by_cycle[cycle];
-      }
-      depth_samples.add(static_cast<double>(sum) /
-                        static_cast<double>(switch_channels));
-    }
-  }
-  result.mean_switch_queue_depth = depth_samples.mean();
+  result.mean_switch_queue_depth =
+      exact_mean(depth_measured_sum, switch_channels * config_.measure_cycles);
 
   // Fairness extremes over sources that injected anything, in ascending
   // terminal order (PacketSim's loop).  flow_sequence lives with the
@@ -613,8 +596,7 @@ std::size_t ShardedSim::arena_bytes() const noexcept {
     bytes += sh.dst_is_terminal.capacity() +
              sh.is_terminal_source_queue.capacity();
     bytes += (sh.link_busy.capacity() + sh.delivered_per_source.capacity() +
-              sh.flow_sequence.capacity() +
-              sh.depth_sum_by_cycle.capacity()) *
+              sh.flow_sequence.capacity()) *
              sizeof(std::uint64_t);
   }
   return bytes;

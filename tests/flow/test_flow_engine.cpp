@@ -452,7 +452,6 @@ TEST(MmapSpill, SpilledArenasAreBitIdenticalToHeap) {
   config.warmup_cycles = 200;
   config.measure_cycles = 800;
   config.seed = 99;
-  config.counter_injection = true;
 
   FlowSim heap_sim(routes, traffic, config);
   const auto heap_result = heap_sim.run();
@@ -501,7 +500,6 @@ TEST(RouteSourceFlow, MatchesRouteCacheOnKaryTree) {
   config.warmup_cycles = 200;
   config.measure_cycles = 800;
   config.seed = 7;
-  config.counter_injection = true;
 
   FlowSim cached(routes, traffic, config);
   const auto cached_result = cached.run();

@@ -85,7 +85,6 @@ class FlowSharded : public ::testing::Test {
     config.measure_cycles = 1700;
     config.watchdog_epoch = 256;
     config.seed = 20260809;
-    config.counter_injection = true;
     return config;
   }
 
@@ -161,7 +160,6 @@ TEST(FlowShardedUnevenCuts, BitIdenticalSaturatedThreeVcs) {
   config.measure_cycles = 800;
   config.watchdog_epoch = 256;
   config.seed = 20260809;
-  config.counter_injection = true;
   ASSERT_EQ(config.switching, Switching::kWormhole);
   ASSERT_EQ(config.backpressure, Backpressure::kCredit);
   FlowSim serial(routes, traffic, config);
@@ -280,7 +278,6 @@ FlowConfig wedge_config() {
   config.measure_cycles = 1800;
   config.watchdog_epoch = 128;
   config.seed = 99;
-  config.counter_injection = true;
   return config;
 }
 

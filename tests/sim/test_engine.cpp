@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "nbclos/analysis/permutations.hpp"
+#include "nbclos/flow/engine.hpp"
+#include "nbclos/flow/sharded.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/sharded.hpp"
 
@@ -89,11 +93,13 @@ TEST(Engine, ThroughputScalesWithOfferedLoadBelowSaturation) {
   const auto net = build_network(ft);
   const YuanNonblockingRouting routing(ft);
   const auto table = RoutingTable::materialize(routing);
-  FtreeOracle oracle(ft, UplinkPolicy::kTable, &table);
+  const OracleFactory factory = [&](std::uint64_t, fault::DegradedView*) {
+    return std::make_unique<FtreeOracle>(ft, UplinkPolicy::kTable, &table);
+  };
   const auto pattern = shift_permutation(ft.leaf_count(), 2);
   const auto traffic = TrafficPattern::permutation(pattern, ft.leaf_count());
-  const auto results =
-      load_sweep(net, oracle, traffic, quick_config(0.0), {0.2, 0.5, 0.8});
+  const auto results = load_sweep(net, factory, traffic, quick_config(0.0),
+                                  {0.2, 0.5, 0.8}, nullptr);
   ASSERT_EQ(results.size(), 3U);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_NEAR(results[i].accepted_throughput, results[i].offered_load,
@@ -213,12 +219,15 @@ TEST(Engine, FairnessGapWidensUnderDModKFunnel) {
 
 TEST(Engine, SaturationFinderReportsFullLoadForCrossbar) {
   const auto net = build_crossbar(8);
-  CrossbarOracle oracle(8);
+  const OracleFactory factory = [](std::uint64_t, fault::DegradedView*) {
+    return std::make_unique<CrossbarOracle>(8);
+  };
   const auto traffic =
       TrafficPattern::permutation(shift_permutation(8, 3), 8);
   SimConfig config = quick_config(0.0);
   config.measure_cycles = 2000;
-  EXPECT_DOUBLE_EQ(find_saturation_load(net, oracle, traffic, config), 1.0);
+  EXPECT_DOUBLE_EQ(
+      find_saturation_load(net, factory, traffic, config, 6, nullptr), 1.0);
 }
 
 TEST(Engine, SaturationFinderLocatesDModKCollapse) {
@@ -226,11 +235,14 @@ TEST(Engine, SaturationFinderLocatesDModKCollapse) {
   // must land in that neighbourhood.
   const FoldedClos ft(FtreeParams{4, 4, 8});
   const auto net = build_network(ft);
-  FtreeOracle oracle(ft, UplinkPolicy::kDModK);
+  const OracleFactory factory = [&](std::uint64_t, fault::DegradedView*) {
+    return std::make_unique<FtreeOracle>(ft, UplinkPolicy::kDModK);
+  };
   const auto traffic = TrafficPattern::permutation(dmodk_uplink_funnel(), 32);
   SimConfig config = quick_config(0.0);
   config.measure_cycles = 2000;
-  const double sat = find_saturation_load(net, oracle, traffic, config, 6);
+  const double sat =
+      find_saturation_load(net, factory, traffic, config, 6, nullptr);
   EXPECT_GT(sat, 0.10);
   EXPECT_LT(sat, 0.40);
 }
@@ -275,10 +287,41 @@ TEST(Engine, BothEnginesRejectQueueCapacityAbove2To31) {
   config.queue_capacity = std::uint32_t{1} << 31;
   config.warmup_cycles = 10;
   config.measure_cycles = 20;
-  config.counter_injection = true;
   PacketSim serial(net, oracle, traffic, config);
   ShardedSim sharded(net, router, traffic, config, 2);
   EXPECT_TRUE(serial.run() == sharded.run());
+}
+
+TEST(Engine, AllFourEnginesRejectSequentialInjection) {
+  // Counter-based injection is the only stream; the field that used to
+  // select the sequential one has a single legal value.
+  const Network net = build_kary_ntree(2, 2);
+  const auto router = std::make_shared<const KaryDmodkRouter>(net, 2, 2);
+  ShardRouterOracle oracle(*router);
+  const auto routes = std::make_shared<const flow::RouteSource>(net, router);
+  const auto traffic = TrafficPattern::uniform(4);
+  SimConfig sim_config;
+  flow::FlowConfig flow_config;
+  EXPECT_TRUE(sim_config.counter_injection);
+  EXPECT_TRUE(flow_config.counter_injection);
+  sim_config.counter_injection = false;
+  flow_config.counter_injection = false;
+  const auto expect_rejected = [](const auto& construct) {
+    try {
+      construct();
+      ADD_FAILURE() << "counter_injection = false was accepted";
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find("counter_injection"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected([&] { PacketSim sim(net, oracle, traffic, sim_config); });
+  expect_rejected(
+      [&] { ShardedSim sim(net, *router, traffic, sim_config, 2); });
+  expect_rejected([&] { flow::FlowSim sim(routes, traffic, flow_config); });
+  expect_rejected(
+      [&] { flow::ShardedFlowSim sim(routes, traffic, flow_config, 2); });
 }
 
 TEST(Engine, TrafficSizeMustMatchNetwork) {

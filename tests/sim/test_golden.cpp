@@ -1,22 +1,35 @@
 /// \file test_golden.cpp
-/// \brief Bit-reproducibility contract of the overhauled cycle kernel.
+/// \brief Bit-reproducibility contract of PacketSim on fixed seeds.
 ///
-/// The expected values were captured from the pre-overhaul engine (full
-/// per-cycle channel scans, per-channel deques, end-of-run latency sort)
-/// on fixed seeds, printed as hexfloats.  The incremental engine —
-/// active-channel lists, flat ring queues, streaming histogram, running
-/// queue-depth sum — must reproduce every field exactly: integer fields
-/// equal, doubles bit-identical, and quantiles in the same histogram
+/// Provenance of the pinned values.  They were captured from the serial
+/// PacketSim kernel as it stood before the sequential Xoshiro injection
+/// stream was retired, run with its opt-in counter-based injection
+/// (`counter_injection = true`) and otherwise this file's configs, and
+/// printed as hexfloats.  Every field is that capture verbatim except
+/// `mean_switch_queue_depth`: the capture averaged per-cycle depth ratios
+/// with a Welford stream, while the engines now report the exact ratio
+/// (sum of per-cycle switch depths) / (switch channels × measured
+/// cycles).  Each pinned depth is that exact ratio, and lies within
+/// 1e-12 (relative) of the captured Welford value.  Integer fields must
+/// be equal, doubles bit-identical, and quantiles in the same histogram
 /// bucket (bucket width is 1 cycle at these run lengths, so "same
 /// bucket" means exactly equal too).
+///
+/// Where ShardedSim accepts the same routing — the Theorem 3 table and
+/// d-mod-k, each as a pure ShardRouter — it must produce the pinned
+/// result too, at 1, 2 and 4 shards.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/fault/fault_oracle.hpp"
+#include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/engine.hpp"
+#include "nbclos/sim/shard_router.hpp"
+#include "nbclos/sim/sharded.hpp"
 
 namespace {
 
@@ -62,11 +75,26 @@ void expect_matches(const SimResult& r, const Golden& g) {
   EXPECT_EQ(r.max_flow_throughput, g.max_flow_throughput);
 }
 
+/// ShardedSim over the pure `router` must reproduce the pinned result at
+/// 1, 2 and 4 shards.
+void expect_sharded_matches(const Network& net, const ShardRouter& router,
+                            const TrafficPattern& traffic,
+                            const SimConfig& config, const Golden& g,
+                            const fault::DegradedView* degraded = nullptr,
+                            std::vector<fault::FaultEvent> events = {}) {
+  for (const std::uint32_t shards : {1U, 2U, 4U}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedSim sim(net, router, traffic, config, shards, degraded, events);
+    expect_matches(sim.run(), g);
+  }
+}
+
 class GoldenSim : public ::testing::Test {
  protected:
   GoldenSim()
       : ft(FtreeParams{4, 16, 8}), net(build_network(ft)), yuan(ft),
         table(RoutingTable::materialize(yuan)),
+        cache(routing::ChannelRouteCache::materialize(net, yuan)),
         traffic(TrafficPattern::permutation(
             shift_permutation(ft.leaf_count(), 5), ft.leaf_count())) {}
 
@@ -74,35 +102,40 @@ class GoldenSim : public ::testing::Test {
   Network net;
   YuanNonblockingRouting yuan;
   RoutingTable table;
+  routing::ChannelRouteCache cache;
   TrafficPattern traffic;
 };
 
 TEST_F(GoldenSim, TableRoutingLowLoad) {
+  const Golden g{0x1.999999999999ap-4, 0x1.976c8b439581p-4, 0x1.4p+2,
+                 0x1.4p+2, 11098, 11085, 0, 0x0p+0, 0x1.72015d867c3edp-4,
+                 0x1.bbbbbbbbbbbbcp-4};
   FtreeOracle oracle(ft, UplinkPolicy::kTable, &table);
   PacketSim sim(net, oracle, traffic, golden_config(0.1));
-  expect_matches(sim.run(),
-                 {0x1.999999999999ap-4, 0x1.9c3ece2a53491p-4, 0x1.4p+2,
-                  0x1.4p+2, 11182, 11167, 0, 0x0p+0, 0x1.6f46508dfea28p-4,
-                  0x1.d194237fa89e6p-4});
+  expect_matches(sim.run(), g);
+  const CachedShardRouter router(cache);
+  expect_sharded_matches(net, router, traffic, golden_config(0.1), g);
 }
 
 TEST_F(GoldenSim, RandomSpreadingHighLoad) {
   FtreeOracle oracle(ft, UplinkPolicy::kRandom, nullptr, 77);
   PacketSim sim(net, oracle, traffic, golden_config(0.7));
   expect_matches(sim.run(),
-                 {0x1.6666666666666p-1, 0x1.6713cc1e098ebp-1,
-                  0x1.530ce191787fcp+2, 0x1.cp+2, 78424, 78307, 0,
-                  0x1.7c39f36899873p-6, 0x1.6098ead65b7a3p-1,
-                  0x1.738a94d242e6cp-1});
+                 {0x1.6666666666666p-1, 0x1.679c54a692173p-1,
+                  0x1.537a56ea7421ap+2, 0x1.cp+2, 78647, 78536, 0,
+                  0x1.857af4b2b4fb8p-6, 0x1.5cd7b900aec34p-1,
+                  0x1.6de8ca11bfd45p-1});
 }
 
 TEST_F(GoldenSim, DModKNearSaturation) {
+  const Golden g{0x1.ccccccccccccdp-1, 0x1.ccff513cc1e0ap-1, 0x1.4p+2,
+                 0x1.4p+2, 100870, 100734, 0, 0x0p+0, 0x1.c6508dfea2798p-1,
+                 0x1.d44f3078263abp-1};
   FtreeOracle oracle(ft, UplinkPolicy::kDModK);
   PacketSim sim(net, oracle, traffic, golden_config(0.9));
-  expect_matches(sim.run(),
-                 {0x1.ccccccccccccdp-1, 0x1.ccccccccccccdp-1, 0x1.4p+2,
-                  0x1.4p+2, 100769, 100627, 0, 0x0p+0, 0x1.c5cd7b900aec3p-1,
-                  0x1.d29a485cd7b9p-1});
+  expect_matches(sim.run(), g);
+  const FtreeDmodkRouter router(ft);
+  expect_sharded_matches(net, router, traffic, golden_config(0.9), g);
 }
 
 TEST_F(GoldenSim, FaultTolerantOracleWithMidRunEvents) {
@@ -119,9 +152,9 @@ TEST_F(GoldenSim, FaultTolerantOracleWithMidRunEvents) {
   };
   PacketSim sim(net, oracle, traffic, golden_config(0.5), &view, events);
   expect_matches(sim.run(),
-                 {0x1p-1, 0x1.ffa06d3a06d3ap-2, 0x1.4p+2, 0x1.4p+2, 55805,
-                  55727, 0, 0x0p+0, 0x1.ee402bb0cf87ep-2,
-                  0x1.08b4395810625p-1});
+                 {0x1p-1, 0x1.0019f0fb38a95p-1, 0x1.4p+2, 0x1.4p+2, 55960,
+                  55885, 0, 0x0p+0, 0x1.e81b4e81b4e82p-2,
+                  0x1.0d4fdf3b645a2p-1});
 }
 
 TEST_F(GoldenSim, FaultObliviousOracleDropsAndPurges) {
@@ -135,11 +168,15 @@ TEST_F(GoldenSim, FaultObliviousOracleDropsAndPurges) {
       {900, fault::FaultAction::kFailVertex, 32 + 3},  // a bottom switch
       {1800, fault::FaultAction::kRecoverVertex, 32 + 3},
   };
+  const Golden g{0x1.ccccccccccccdp-1, 0x1.aa3c131d5acb7p-1, 0x1.4p+2,
+                 0x1.4p+2, 100870, 94216, 6518, 0x0p+0, 0x1.3c3ece2a53491p-1,
+                 0x1.d0624dd2f1aap-1};
+  const fault::DegradedView pristine = view;
   PacketSim sim(net, oracle, traffic, golden_config(0.9), &view, events);
-  expect_matches(sim.run(),
-                 {0x1.ccccccccccccdp-1, 0x1.aa1e098ead65bp-1, 0x1.4p+2,
-                  0x1.4p+2, 100769, 94124, 6503, 0x0p+0,
-                  0x1.3ced916872b02p-1, 0x1.d1eb851eb851fp-1});
+  expect_matches(sim.run(), g);
+  const FtreeDmodkRouter router(ft);
+  expect_sharded_matches(net, router, traffic, golden_config(0.9), g,
+                         &pristine, events);
 }
 
 TEST_F(GoldenSim, LeastQueueMultiFlitPackets) {
@@ -148,10 +185,10 @@ TEST_F(GoldenSim, LeastQueueMultiFlitPackets) {
   FtreeOracle oracle(ft, UplinkPolicy::kLeastQueue);
   PacketSim sim(net, oracle, traffic, c);
   expect_matches(sim.run(),
-                 {0x1.3333333333333p-1, 0x1.370fb38a94d24p-1,
-                  0x1.03ee30800244cp+5, 0x1.0cp+6, 16890, 16727, 0,
-                  0x1.c0091a2b3c4cfp-3, 0x1.189374bc6a7fp-1,
-                  0x1.5555555555555p-1});
+                 {0x1.3333333333333p-1, 0x1.323d70a3d70a4p-1,
+                  0x1.fcdc223a1d25ap+4, 0x1p+6, 16727, 16572, 0,
+                  0x1.ad1502ce77ff6p-3, 0x1.189374bc6a7fp-1,
+                  0x1.4a6921735ee4p-1});
 }
 
 TEST(GoldenCrossbar, UniformTraffic) {
@@ -160,9 +197,9 @@ TEST(GoldenCrossbar, UniformTraffic) {
   const auto traffic = TrafficPattern::uniform(8);
   PacketSim sim(net, oracle, traffic, golden_config(0.5));
   expect_matches(sim.run(),
-                 {0x1p-1, 0x1.0057619f0fb39p-1, 0x1.b6e7847a7f722p+1,
-                  0x1.8p+2, 13946, 13931, 0, 0x1.b83c131d5acb8p-3,
-                  0x1.ef9db22d0e56p-2, 0x1.067c3ece2a535p-1});
+                 {0x1p-1, 0x1.fb596de8ca11cp-2, 0x1.b434f35db2d0fp+1,
+                  0x1.8p+2, 13865, 13855, 0, 0x1.9dddddddddddep-3,
+                  0x1.e872b020c49bap-2, 0x1.07ae147ae147bp-1});
 }
 
 /// Two runs of the same config must be identical — the simulator owns all

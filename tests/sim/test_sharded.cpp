@@ -51,7 +51,6 @@ SimConfig sharded_config(double rate) {
   config.measure_cycles = 1600;
   config.queue_capacity = 8;
   config.seed = 20260809;
-  config.counter_injection = true;
   return config;
 }
 
@@ -218,7 +217,6 @@ TEST(ShardedSim, ArenaFollowsQueueOccupancyNotCapacity) {
   SimConfig config = SimConfig::ideal_reference(0.9, 20261017);
   config.warmup_cycles = 400;
   config.measure_cycles = 1600;
-  config.counter_injection = true;
   std::size_t switch_channels = 0;
   for (std::uint32_t c = 0; c < net.channel_count(); ++c) {
     if (net.vertex(net.channel_src(c)).kind != VertexKind::kTerminal) {

@@ -116,24 +116,6 @@ TEST_F(ParallelSweep, SaturationSearchMatchesSerialAtAnyThreadCount) {
   }
 }
 
-TEST_F(ParallelSweep, LegacySerialOverloadRestoresDegradedView) {
-  fault::DegradedView view(net);
-  // d-mod-k keys on dst mod m: terminal 0 -> 5 crosses bottom 0 via top 5,
-  // so this uplink carries traffic and its death must drop packets.
-  const auto dead = ft.up_link(BottomId{0}, TopId{5}).value;
-  const std::vector<fault::FaultEvent> events{
-      {300, fault::FaultAction::kFailChannel, dead},
-  };
-  FtreeOracle oracle(ft, UplinkPolicy::kDModK);
-  const auto results =
-      load_sweep(net, oracle, traffic, config, {0.5, 0.5}, &view, events);
-  // The event killed `dead` mid-run, but the caller's view must come back
-  // in its entry state, and both runs must have seen identical faults.
-  EXPECT_TRUE(view.channel_alive(dead));
-  EXPECT_EQ(results[0].dropped_packets, results[1].dropped_packets);
-  EXPECT_GT(results[0].dropped_packets, 0u);
-}
-
 TEST_F(ParallelSweep, FaultThroughputSweepIsThreadCountIndependent) {
   SimConfig sim_config = config;
   sim_config.injection_rate = 0.9;

@@ -516,7 +516,6 @@ int cmd_flow_sim(std::vector<std::string> args) {
   nbclos::flow::ArenaStats arena{};
   std::uint32_t shards_ran = 0;  // clamped by ShardPlan; 0 = serial engine
   if (shards.has_value()) {
-    config.counter_injection = true;  // the sharded engine's only mode
     nbclos::flow::ShardedFlowSim sim(routes, traffic, config, *shards);
     shards_ran = sim.shard_count();
     g_manifest_shards = shards_ran;
